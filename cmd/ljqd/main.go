@@ -205,85 +205,80 @@ func main() {
 
 	// Cluster mode: before the listener opens (and therefore before
 	// /readyz ever answers 200), warm-start the plan cache from the
-	// other ring members' snapshots. Donor order is the membership
-	// order with this peer removed, so a rolling restart ships plans
-	// from a deterministic neighbor first. Warm-start failure is
-	// non-fatal: a peer with no reachable donor joins cold, it does
-	// not crash.
+	// other ring members' snapshots. Donor order is the epoch-0 member
+	// order (sorted by URL) with this peer removed, so a rolling restart
+	// ships plans from a deterministic neighbor first. Warm-start
+	// failure is non-fatal: a peer with no reachable donor joins cold,
+	// it does not crash.
 	//
-	// The ring itself comes from one of two places, in precedence
+	// The epoch-0 roster comes from one of two places, in precedence
 	// order: -membership-file (dynamic: polled, each semantic change
 	// mints an epoch that the rebalancer applies — push moved arcs,
 	// evict what was acknowledged) or -peers (static: a never-changing
-	// epoch 0).
-	var donors []string
+	// epoch 0). Both go through the same -advertise checks.
+	var (
+		e0  *cluster.Epoch
+		src *cluster.FileSource
+	)
 	switch {
 	case *memberFile != "":
-		if *advertise == "" {
-			fail(fmt.Errorf("-membership-file requires -advertise (this peer's own URL in the roster)"))
-		}
 		if *peersFlag != "" {
 			fmt.Fprintln(os.Stderr, "ljqd: -membership-file takes precedence; ignoring -peers")
 		}
-		self := strings.TrimRight(*advertise, "/")
-		src, err := cluster.NewFileSource(nil, *memberFile, 0)
-		if err != nil {
-			// A missing or defective roster is a loud failure by design:
-			// a daemon must not join an empty or half-parsed ring.
+		// A missing or defective roster is a loud failure by design: a
+		// daemon must not join an empty or half-parsed ring.
+		if src, err = cluster.NewFileSource(nil, *memberFile, 0); err != nil {
 			fail(err)
 		}
-		e0 := src.Current()
+		e0 = src.Current()
+	case *peersFlag != "":
+		if e0, err = cluster.StaticEpoch(splitPeers(*peersFlag), 0); err != nil {
+			fail(fmt.Errorf("-peers: %w", err))
+		}
+	}
+	var donors []string
+	if e0 != nil {
+		if *advertise == "" {
+			fail(fmt.Errorf("-peers and -membership-file require -advertise (this peer's own URL in the ring)"))
+		}
+		self := strings.TrimRight(*advertise, "/")
 		if !e0.HasPeer(self) {
-			fail(fmt.Errorf("-advertise %q is not listed in %s", self, *memberFile))
+			fail(fmt.Errorf("-advertise %q is not a member of %s", self, e0))
 		}
 		for _, p := range e0.Peers() {
 			if p != self {
 				donors = append(donors, p)
 			}
 		}
-		rb, err := cluster.NewRebalancer(cluster.RebalanceConfig{
-			Self:  self,
-			Cache: cache,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "ljqd: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fail(err)
-		}
-		if reg != nil {
-			rb.RegisterMetrics(reg)
-		}
-		if _, err := rb.Apply(ctx, e0); err != nil { // bootstrap: adopt epoch 0
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "ljqd: dynamic membership from %s (%s, poll %s)\n", *memberFile, e0, *memberPoll)
-		go cluster.WatchMembership(ctx, src, *memberPoll, nil, func(e *cluster.Epoch) {
-			res, err := rb.Apply(ctx, e)
+		if src != nil {
+			rb, err := cluster.NewRebalancer(cluster.RebalanceConfig{
+				Self:  self,
+				Cache: cache,
+				Logf: func(format string, args ...any) {
+					fmt.Fprintf(os.Stderr, "ljqd: "+format+"\n", args...)
+				},
+			})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "ljqd: rebalance to %s failed: %v\n", e, err)
-				return
+				fail(err)
 			}
-			fmt.Fprintf(os.Stderr, "ljqd: applied %s (pushed=%v failed=%v evicted=%d dropped=%d)\n",
-				e, res.Pushed, res.Failed, res.Evicted, res.Dropped)
-		}, func(err error) {
-			fmt.Fprintf(os.Stderr, "ljqd: membership poll: %v (keeping current epoch)\n", err)
-		})
-	case *peersFlag != "":
-		peers := splitPeers(*peersFlag)
-		if *advertise == "" {
-			fail(fmt.Errorf("-peers requires -advertise (this peer's own URL in the ring)"))
-		}
-		self := false
-		for _, p := range peers {
-			if p == *advertise {
-				self = true
-				continue
+			if reg != nil {
+				rb.RegisterMetrics(reg)
 			}
-			donors = append(donors, p)
-		}
-		if !self {
-			fail(fmt.Errorf("-advertise %q is not listed in -peers", *advertise))
+			if _, err := rb.Apply(ctx, e0); err != nil { // bootstrap: adopt epoch 0
+				fail(err)
+			}
+			fmt.Fprintf(os.Stderr, "ljqd: dynamic membership from %s (%s, poll %s)\n", *memberFile, e0, *memberPoll)
+			go cluster.WatchMembership(ctx, src, *memberPoll, nil, func(e *cluster.Epoch) {
+				res, err := rb.Apply(ctx, e)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "ljqd: rebalance to %s failed: %v\n", e, err)
+					return
+				}
+				fmt.Fprintf(os.Stderr, "ljqd: applied %s (pushed=%v failed=%v evicted=%d dropped=%d)\n",
+					e, res.Pushed, res.Failed, res.Evicted, res.Dropped)
+			}, func(err error) {
+				fmt.Fprintf(os.Stderr, "ljqd: membership poll: %v (keeping current epoch)\n", err)
+			})
 		}
 	}
 	if len(donors) > 0 {

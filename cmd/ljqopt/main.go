@@ -55,7 +55,7 @@ func main() {
 		trace     = flag.Bool("trace", false, "dump a budget-stamped search trace to stderr after the run (deterministic per seed)")
 		traceCap  = flag.Int("trace-cap", telemetry.DefaultTraceCapacity, "trace ring capacity: how many most-recent events are retained")
 		server    = flag.String("server", "", "optimize via a running ljqd daemon at this base URL (e.g. http://127.0.0.1:8080) instead of in-process")
-		useWire   = flag.Bool("wire", false, "with -server: use the binary wire protocol instead of JSON (falls back to JSON against a pre-wire daemon)")
+		useWire   = flag.Bool("wire", false, "with -server: use the binary wire protocol instead of JSON")
 	)
 	flag.Parse()
 
@@ -154,8 +154,9 @@ func main() {
 
 // runRemote sends the query to a running ljqd daemon through the
 // hardened client (retries, backoff, breaker) and prints the daemon's
-// plan rendering. -wire selects the binary protocol; the client falls
-// back to JSON automatically when the daemon predates it.
+// plan rendering. -wire selects the binary protocol; without it the
+// request goes as JSON, the public edge codec (every ljqd speaks both,
+// and the cluster router always speaks wire between peers).
 func runRemote(baseURL string, useWire bool, timeout time.Duration, q *catalog.Query) {
 	c, err := client.New(client.Config{BaseURL: baseURL, Wire: useWire})
 	if err != nil {

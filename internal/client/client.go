@@ -6,8 +6,8 @@
 // mid-restart.
 //
 // Resilience features, all deterministic under test (the clock, the
-// sleeper, the hedge timer and the jitter stream are injectable, and
-// the fault harness provides a scripted http.RoundTripper):
+// sleeper and the jitter stream are injectable, and the fault harness
+// provides a scripted http.RoundTripper):
 //
 //   - per-attempt timeouts: one slow attempt cannot eat the caller's
 //     whole deadline;
@@ -16,14 +16,15 @@
 //     when capacity should exist again (serve.retryAfterSeconds now
 //     rounds up, so the hint is never a serialized zero), and the
 //     client waits at least that long;
-//   - optional hedged second request: if the first attempt is still
-//     silent after HedgeDelay, a second identical request races it and
-//     the first useful response wins (reads are idempotent: POST
-//     /optimize is a pure function of the query, seed and budget, so
-//     hedging is safe);
 //   - a half-open circuit breaker: consecutive failures trip it, a
 //     cooled-down probe closes it, and while open the client fails
 //     fast with ErrCircuitOpen instead of queueing doomed work.
+//
+// The client talks to one daemon. Hedging across daemons is the
+// cluster router's job (internal/cluster races ring successors), and
+// so is the codec on the internal peer hop: the router always sends
+// the binary wire protocol, while JSON remains the public edge codec
+// for ljqopt and other external callers.
 package client
 
 import (
@@ -112,10 +113,6 @@ type Config struct {
 	// honored (default 30s): a confused server must not park the
 	// client for an hour.
 	RetryAfterCap time.Duration
-	// HedgeDelay, when positive, launches a second identical request
-	// if the first has produced nothing after this long; the first
-	// useful response wins (default 0: disabled).
-	HedgeDelay time.Duration
 	// ShedFailFast makes a load-shedding answer (503/429 — a *ShedError)
 	// return immediately instead of being retried in-line with a
 	// Retry-After sleep. For callers that own a failover ladder (the
@@ -126,10 +123,10 @@ type Config struct {
 	ShedFailFast bool
 	// Wire selects the binary wire protocol (internal/wire) for
 	// Optimize: the query ships as a length-prefixed binary frame and
-	// the response is requested in the same codec via Accept. Against a
-	// daemon that predates the protocol — recognized by a 4xx on the
-	// binary request — the call transparently falls back to JSON, so
-	// mixed fleets upgrade safely.
+	// the response is requested in the same codec via Accept. There is
+	// no JSON fallback: every ljqd speaks both codecs, so a 4xx on a
+	// binary request is the daemon's verdict on the query. The cluster
+	// router forces it on for every peer hop.
 	Wire bool
 	// Breaker tunes the circuit breaker.
 	Breaker BreakerConfig
@@ -138,11 +135,6 @@ type Config struct {
 	//
 	// Sleep waits between attempts (default: ctx-aware timer).
 	Sleep func(ctx context.Context, d time.Duration) error
-	// After arms the hedge timer (default: a stoppable time.Timer —
-	// unlike time.After, the timer is released as soon as the attempt
-	// resolves, so a fast-failing primary does not strand a HedgeDelay
-	// timer per retry).
-	After func(d time.Duration) <-chan time.Time
 	// Now is the breaker's clock (default time.Now).
 	Now func() time.Time
 }
@@ -176,8 +168,6 @@ func (c *Config) fill() error {
 	if c.Sleep == nil {
 		c.Sleep = sleepCtx
 	}
-	// c.After stays nil by default: hedgedAttempt then uses a stoppable
-	// time.Timer instead of a fire-and-forget channel.
 	if c.Now == nil {
 		//ljqlint:allow detrand -- wall-clock breaker cooldown in the network client, outside any seeded path
 		c.Now = time.Now
@@ -207,10 +197,7 @@ type Client struct {
 
 	// Resilience counters, exported via Stats and RegisterMetrics: how
 	// much work the failure-handling machinery is actually doing.
-	retries     atomic.Uint64 // extra attempts beyond the first, per call
-	hedges      atomic.Uint64 // hedged secondaries launched
-	hedgeWins   atomic.Uint64 // hedged secondary's response was used
-	hedgeLosses atomic.Uint64 // hedge launched but the primary's response won
+	retries atomic.Uint64 // extra attempts beyond the first, per call
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -219,9 +206,6 @@ type Client struct {
 // Stats is a snapshot of the client's resilience counters.
 type Stats struct {
 	Retries            uint64 `json:"retries"`
-	Hedges             uint64 `json:"hedges"`
-	HedgeWins          uint64 `json:"hedgeWins"`
-	HedgeLosses        uint64 `json:"hedgeLosses"`
 	BreakerTransitions uint64 `json:"breakerTransitions"`
 	BreakerState       string `json:"breakerState"`
 }
@@ -246,9 +230,6 @@ func (c *Client) BreakerState() string { return c.breaker.currentState().String(
 func (c *Client) Stats() Stats {
 	return Stats{
 		Retries:            c.retries.Load(),
-		Hedges:             c.hedges.Load(),
-		HedgeWins:          c.hedgeWins.Load(),
-		HedgeLosses:        c.hedgeLosses.Load(),
 		BreakerTransitions: c.breaker.transitions.Load(),
 		BreakerState:       c.BreakerState(),
 	}
@@ -258,16 +239,12 @@ func (c *Client) Stats() Stats {
 // given metric-name prefix, optionally tagged with a literal label
 // suffix (pass labels like `{peer="http://host:8080"}`, or "" for
 // none). The cluster router registers one client per peer this way, so
-// /metrics breaks retries, hedge outcomes and breaker churn down by
-// peer.
+// /metrics breaks retries and breaker churn down by peer.
 func (c *Client) RegisterMetrics(reg *telemetry.Registry, prefix, labels string) {
 	if reg == nil {
 		return
 	}
 	reg.CounterFunc(prefix+"_retries_total"+labels, "Retry attempts beyond each call's first try.", c.retries.Load)
-	reg.CounterFunc(prefix+"_hedges_total"+labels, "Hedged secondary requests launched.", c.hedges.Load)
-	reg.CounterFunc(prefix+"_hedge_wins_total"+labels, "Hedged requests whose secondary response was used.", c.hedgeWins.Load)
-	reg.CounterFunc(prefix+"_hedge_losses_total"+labels, "Hedged requests where the primary still won.", c.hedgeLosses.Load)
 	reg.CounterFunc(prefix+"_breaker_transitions_total"+labels, "Circuit-breaker state transitions.", c.breaker.transitions.Load)
 }
 
@@ -276,15 +253,7 @@ func (c *Client) RegisterMetrics(reg *telemetry.Registry, prefix, labels string)
 // Config.Wire selects the binary wire protocol.
 func (c *Client) Optimize(ctx context.Context, q *catalog.Query) (*serve.OptimizeResponse, error) {
 	if c.cfg.Wire {
-		resp, err := c.optimize(ctx, wire.EncodeQuery(q), "/optimize", wire.ContentType, wire.ContentType)
-		var apiErr *APIError
-		if err == nil || !errors.As(err, &apiErr) {
-			return resp, err
-		}
-		// The daemon judged the binary request itself defective — most
-		// likely a pre-wire build that cannot parse the frame. Fall back
-		// to JSON for this call; retryable failures above never reach
-		// here (the retry loop already ran).
+		return c.optimize(ctx, wire.EncodeQuery(q), "/optimize", wire.ContentType, wire.ContentType)
 	}
 	var buf bytes.Buffer
 	if err := qfile.Write(&buf, q); err != nil {
@@ -372,10 +341,9 @@ type outcome struct {
 	err        error // nil iff 2xx
 	retryable  bool
 	retryAfter time.Duration // server's 503 hint, 0 if none
-	fromHedge  bool          // produced by the hedged secondary
 }
 
-// call runs the full retry/hedge/breaker loop for one logical request.
+// call runs the full retry/breaker loop for one logical request.
 func (c *Client) call(ctx context.Context, method, path, contentType, accept string, body []byte) ([]byte, error) {
 	var last outcome
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -388,7 +356,7 @@ func (c *Client) call(ctx context.Context, method, path, contentType, accept str
 		if !c.breaker.allow() {
 			return nil, ErrCircuitOpen
 		}
-		out := c.hedgedAttempt(ctx, method, path, contentType, accept, body)
+		out := c.attempt(ctx, method, path, contentType, accept, body)
 		if out.err == nil {
 			c.breaker.success()
 			return out.body, nil
@@ -447,114 +415,6 @@ func (c *Client) backoff(attempt int) time.Duration {
 	f := c.rng.Float64()
 	c.mu.Unlock()
 	return b/2 + time.Duration(f*float64(b/2))
-}
-
-// hedgedAttempt runs one logical attempt: the primary request, plus —
-// if HedgeDelay is set and the primary is still silent when it fires —
-// a hedged secondary. The first useful outcome (success or permanent
-// failure) wins; if both fail retryably the primary's outcome is
-// reported.
-//
-// Loser handling is explicit and leak-free:
-//
-//   - the moment a winner is chosen, the shared attempt context is
-//     cancelled, so the losing in-flight request (and its transport
-//     connection) is torn down immediately rather than running to its
-//     per-attempt timeout;
-//   - the hedge timer is a stoppable time.Timer (unless the After test
-//     hook overrides it), stopped on every exit path — a fast-failing
-//     primary does not strand one armed HedgeDelay timer per retry;
-//   - result delivery uses a buffered channel sized for both attempts,
-//     so a late loser writes its outcome and exits without a reader.
-//
-// TestHedgeLoserCancelledNoLeak pins this down against a scripted Hang
-// transport.
-func (c *Client) hedgedAttempt(ctx context.Context, method, path, contentType, accept string, body []byte) outcome {
-	if c.cfg.HedgeDelay <= 0 {
-		return c.attempt(ctx, method, path, contentType, accept, body)
-	}
-
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel() // belt and braces: every exit cancels any in-flight loser
-	results := make(chan outcome, 2)
-	launch := func(hedge bool) {
-		go func() {
-			// Goroutine panic barrier (panicguard): a bug in the
-			// attempt path must resolve this hedge slot, not kill the
-			// process.
-			defer func() {
-				if r := recover(); r != nil {
-					results <- outcome{err: fmt.Errorf("client: attempt panicked: %v", r), retryable: true, fromHedge: hedge}
-				}
-			}()
-			out := c.attempt(actx, method, path, contentType, accept, body)
-			out.fromHedge = hedge
-			results <- out
-		}()
-	}
-
-	timerC, stopTimer := c.hedgeTimer()
-	defer stopTimer()
-
-	launch(false)
-	hedged := false
-	var first *outcome
-	for {
-		select {
-		case out := <-results:
-			if out.err == nil || !out.retryable {
-				// Useful result: success or permanent failure. Cancel
-				// the loser *now* — the deferred cancel would fire too,
-				// but making the teardown explicit keeps the loser from
-				// holding a connection for even a moment longer than
-				// the winning response.
-				cancel()
-				if hedged {
-					if out.fromHedge {
-						c.hedgeWins.Add(1)
-					} else {
-						c.hedgeLosses.Add(1)
-					}
-				}
-				return out
-			}
-			if !hedged {
-				// Primary failed before the hedge timer fired: no point
-				// hedging a connection that just proved broken — the
-				// retry loop's backoff handles it.
-				return out
-			}
-			if first == nil {
-				first = &out
-				continue // the other request is still running
-			}
-			// Both failed retryably; report the primary's failure (the
-			// launch order, not arrival order: backoff policy keys off
-			// the primary path).
-			if first.fromHedge {
-				first = &out
-			}
-			return *first
-		case <-timerC:
-			hedged = true
-			timerC = nil
-			c.hedges.Add(1)
-			launch(true)
-		case <-ctx.Done():
-			return outcome{err: ctx.Err(), retryable: false}
-		}
-	}
-}
-
-// hedgeTimer arms the hedge-delay timer: the After test hook if set,
-// otherwise a real time.Timer whose stop function releases it as soon
-// as the attempt resolves.
-func (c *Client) hedgeTimer() (<-chan time.Time, func()) {
-	if c.cfg.After != nil {
-		return c.cfg.After(c.cfg.HedgeDelay), func() {}
-	}
-	t := time.NewTimer(c.cfg.HedgeDelay)
-	return t.C, func() { t.Stop() }
 }
 
 // attempt performs one physical HTTP request under the per-attempt

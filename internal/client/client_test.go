@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -86,16 +85,6 @@ func (s *sleepRecorder) all() []time.Duration {
 	out := make([]time.Duration, len(s.delays))
 	copy(out, s.delays)
 	return out
-}
-
-// neverFires is an After hook whose timer never fires.
-func neverFires(time.Duration) <-chan time.Time { return make(chan time.Time) }
-
-// firesImmediately is an After hook whose timer has already fired.
-func firesImmediately(time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ch <- time.Time{}
-	return ch
 }
 
 func newTestClient(t *testing.T, cfg Config) *Client {
@@ -282,54 +271,6 @@ func TestPerAttemptTimeoutRetries(t *testing.T) {
 	}
 }
 
-func TestHedgedRequestWinsOverHangingPrimary(t *testing.T) {
-	// The primary hangs; the hedge timer has already fired, so the
-	// secondary launches immediately and its 200 wins. (Hang and Pass
-	// are consumed in scheduler order; either assignment succeeds.)
-	ft := faultinject.NewFlakyTransport(okInner(t),
-		faultinject.Outcome{Kind: faultinject.Hang},
-		faultinject.Outcome{Kind: faultinject.Pass},
-	)
-	c := newTestClient(t, Config{
-		Transport: ft, MaxAttempts: 1,
-		PerAttemptTimeout: 5 * time.Second,
-		HedgeDelay:        time.Millisecond,
-		After:             firesImmediately,
-		Sleep:             (&sleepRecorder{}).sleep,
-	})
-	resp, err := c.OptimizeDSL(context.Background(), "q")
-	if err != nil {
-		t.Fatalf("hedged OptimizeDSL: %v", err)
-	}
-	if resp.Fingerprint != "feedface" {
-		t.Fatalf("unexpected response: %+v", resp)
-	}
-	if n := ft.Requests(); n != 2 {
-		t.Fatalf("transport saw %d requests, want 2 (primary + hedge)", n)
-	}
-}
-
-func TestNoHedgeWhenPrimaryFailsFirst(t *testing.T) {
-	// The hedge timer never fires; a fast primary failure goes straight
-	// to the retry loop — exactly one request per attempt.
-	ft := faultinject.NewFlakyTransport(okInner(t),
-		faultinject.Outcome{Kind: faultinject.Drop},
-		faultinject.Outcome{Kind: faultinject.Pass},
-	)
-	c := newTestClient(t, Config{
-		Transport: ft, MaxAttempts: 2,
-		HedgeDelay: time.Hour,
-		After:      neverFires,
-		Sleep:      (&sleepRecorder{}).sleep,
-	})
-	if _, err := c.OptimizeDSL(context.Background(), "q"); err != nil {
-		t.Fatal(err)
-	}
-	if got := ft.Log(); len(got) != 2 || got[0] != faultinject.Drop || got[1] != faultinject.Pass {
-		t.Fatalf("trajectory %v, want [drop pass] with no hedge", got)
-	}
-}
-
 // fakeClock drives the breaker deterministically.
 type fakeClock struct {
 	mu sync.Mutex
@@ -460,61 +401,6 @@ func TestStatusAndReadyProbesSingleAttempt(t *testing.T) {
 	}
 }
 
-// TestHedgeLoserCancelledNoLeak is the hedged-loser regression gate:
-// every hedged call leaves one request hanging (the scripted Hang
-// outcome blocks until its context dies), and the winning response
-// must cancel it immediately — no goroutine may outlive the call. The
-// per-attempt timeout is set far beyond the test's patience, so if the
-// loser were only reaped by that timeout instead of by explicit
-// cancellation, the goroutine count could not settle and the test
-// would fail.
-func TestHedgeLoserCancelledNoLeak(t *testing.T) {
-	const calls = 20
-	var outcomes []faultinject.Outcome
-	for i := 0; i < calls; i++ {
-		// Scheduler order decides which of the pair each request draws;
-		// either way one hangs and one passes.
-		outcomes = append(outcomes,
-			faultinject.Outcome{Kind: faultinject.Hang},
-			faultinject.Outcome{Kind: faultinject.Pass},
-		)
-	}
-	ft := faultinject.NewFlakyTransport(okInner(t), outcomes...)
-	c := newTestClient(t, Config{
-		Transport: ft, MaxAttempts: 1,
-		PerAttemptTimeout: time.Hour, // only cancellation can release the loser
-		HedgeDelay:        time.Millisecond,
-		After:             firesImmediately,
-		Sleep:             (&sleepRecorder{}).sleep,
-	})
-
-	before := runtime.NumGoroutine()
-	for i := 0; i < calls; i++ {
-		if _, err := c.OptimizeDSL(context.Background(), "q"); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-	}
-	// Cancellation is asynchronous from the caller's point of view;
-	// give the losers a moment to observe it.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after %d hedged calls", before, now, calls)
-	}
-	st := c.Stats()
-	if st.Hedges != calls {
-		t.Fatalf("hedges = %d, want %d", st.Hedges, calls)
-	}
-	if st.HedgeWins+st.HedgeLosses != calls {
-		t.Fatalf("hedge wins %d + losses %d, want their sum = %d", st.HedgeWins, st.HedgeLosses, calls)
-	}
-}
-
 func TestResilienceCountersAndMetrics(t *testing.T) {
 	ft := faultinject.NewFlakyTransport(okInner(t),
 		faultinject.Outcome{Kind: faultinject.Drop},
@@ -542,7 +428,6 @@ func TestResilienceCountersAndMetrics(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		`ljq_client_retries_total{peer="p0"} 2`,
-		`ljq_client_hedges_total{peer="p0"} 0`,
 		`ljq_client_breaker_transitions_total{peer="p0"} 0`,
 	} {
 		if !strings.Contains(out, want) {

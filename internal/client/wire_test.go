@@ -3,10 +3,7 @@ package client
 import (
 	"context"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"joinopt/internal/serve"
@@ -53,42 +50,6 @@ func TestWireOptimizeEndToEnd(t *testing.T) {
 	}
 	if wireResp.TotalCost != jsonResp.TotalCost || wireResp.Tier != jsonResp.Tier {
 		t.Fatalf("response drift: %+v vs %+v", wireResp, jsonResp)
-	}
-}
-
-// TestWireFallsBackToJSON: against a daemon that rejects the binary
-// Content-Type (a pre-wire build), a Wire client transparently retries
-// the call as JSON and succeeds.
-func TestWireFallsBackToJSON(t *testing.T) {
-	srv := serve.New(serve.Config{TCoeff: 1})
-	inner := srv.Handler()
-	var wireRejects atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.Header.Get("Content-Type"), "x-ljq-wire") {
-			wireRejects.Add(1)
-			http.Error(w, "unsupported media type", http.StatusUnsupportedMediaType)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c, err := New(Config{BaseURL: ts.URL, Wire: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := workload.Default().Generate(6, rand.New(rand.NewSource(67)))
-	resp, err := c.Optimize(context.Background(), q)
-	if err != nil {
-		t.Fatalf("wire client against a pre-wire daemon: %v", err)
-	}
-	if resp.Fingerprint == "" || len(resp.Order) == 0 {
-		t.Fatalf("fallback response incomplete: %+v", resp)
-	}
-	if wireRejects.Load() != 1 {
-		t.Fatalf("binary request attempted %d times before falling back, want 1", wireRejects.Load())
 	}
 }
 

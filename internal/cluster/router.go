@@ -44,9 +44,11 @@ type RouterConfig struct {
 	// Client is the template for the per-peer resilient clients.
 	// BaseURL is set per peer; the per-client circuit breaker is
 	// DISABLED (the Health view owns circuit state — double-breaking
-	// would make one peer's cooldown unobservable to routing) and
+	// would make one peer's cooldown unobservable to routing),
 	// ShedFailFast is forced on (a shedding peer should cause immediate
-	// failover to the next candidate, not an in-line Retry-After sleep).
+	// failover to the next candidate, not an in-line Retry-After sleep)
+	// and Wire is forced on (every peer speaks the binary codec; JSON is
+	// for the public edge only).
 	Client client.Config
 	// HedgeDelay, when positive, races the next ring successor after
 	// this much primary silence instead of waiting for it to fail
@@ -180,9 +182,11 @@ func (r *Router) ensurePeerLocked(peer string) error {
 	// client would trip invisibly to routing. ShedFailFast: a peer
 	// that answers 429/503 is alive but refusing work — the router
 	// fails over to the next ring successor immediately instead of
-	// camping on the shedding peer's Retry-After.
+	// camping on the shedding peer's Retry-After. Wire: the hop is
+	// internal, so it always takes the binary codec.
 	ccfg.Breaker = client.BreakerConfig{Threshold: -1}
 	ccfg.ShedFailFast = true
+	ccfg.Wire = true
 	c, err := client.New(ccfg)
 	if err != nil {
 		return fmt.Errorf("cluster: peer %s: %w", peer, err)

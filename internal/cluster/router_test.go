@@ -3,10 +3,14 @@ package cluster
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +20,7 @@ import (
 	"joinopt/internal/fingerprint"
 	"joinopt/internal/serve"
 	"joinopt/internal/telemetry"
+	"joinopt/internal/wire"
 	"joinopt/internal/workload"
 )
 
@@ -100,6 +105,67 @@ func TestRouterAffinityAndRepeatHit(t *testing.T) {
 	if tc.servers["http://peer0"].Cache().Stats().Misses != 0 ||
 		tc.servers["http://peer2"].Cache().Stats().Misses != 0 {
 		t.Fatal("non-primary peers saw traffic")
+	}
+}
+
+// TestRouterHopSpeaksWire: a router built with a zero-value Client
+// template still sends the binary wire codec on every peer hop, and the
+// routed answer matches the same query's answer through the JSON edge.
+func TestRouterHopSpeaksWire(t *testing.T) {
+	type hop struct{ contentType, accept string }
+	var (
+		mu   sync.Mutex
+		hops []hop
+	)
+	var peers []string
+	for i := 0; i < 3; i++ {
+		inner := serve.New(serve.Config{TCoeff: 1}).Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/optimize" {
+				mu.Lock()
+				hops = append(hops, hop{r.Header.Get("Content-Type"), r.Header.Get("Accept")})
+				mu.Unlock()
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		defer ts.Close()
+		peers = append(peers, ts.URL)
+	}
+	r, err := NewRouter(RouterConfig{Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := workload.Default().Generate(8, rand.New(rand.NewSource(23)))
+	routed, err := r.Optimize(ctx, q)
+	if err != nil {
+		t.Fatalf("routed Optimize: %v", err)
+	}
+	mu.Lock()
+	got := append([]hop(nil), hops...)
+	mu.Unlock()
+	if len(got) != 1 {
+		t.Fatalf("%d peer hops, want 1", len(got))
+	}
+	if h := got[0]; h.contentType != wire.ContentType || h.accept != wire.ContentType {
+		t.Fatalf("peer hop Content-Type %q Accept %q, want %q for both", h.contentType, h.accept, wire.ContentType)
+	}
+
+	fp, _, _ := fingerprint.CanonicalQuery(q)
+	edge, err := client.New(client.Config{BaseURL: r.Ring().Primary(fp)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaJSON, err := edge.Optimize(ctx, q)
+	if err != nil {
+		t.Fatalf("JSON edge Optimize: %v", err)
+	}
+	if routed.Fingerprint != viaJSON.Fingerprint ||
+		!slices.Equal(routed.Order, viaJSON.Order) ||
+		math.Float64bits(routed.TotalCost) != math.Float64bits(viaJSON.TotalCost) ||
+		routed.Tier != viaJSON.Tier ||
+		routed.Explain != viaJSON.Explain {
+		t.Fatalf("routed response %+v differs from JSON edge response %+v", routed, viaJSON)
 	}
 }
 
