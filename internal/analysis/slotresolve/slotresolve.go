@@ -18,7 +18,8 @@
 // `if !b.Allow() { return }` guard claims only on the fallthrough
 // edge, a bool variable bound to the Allow result is tracked through
 // branches, and `return b.Allow()` transfers the obligation to the
-// caller (which is how wrapper methods like Health.Allow stay clean).
+// caller (which is how wrapper methods like client.Breaker.Allow stay
+// clean).
 // Deferred resolution calls count on every exit path. One level of
 // interprocedural transfer: calling a same-package function whose body
 // resolves slots (e.g. a loser-reaping helper) is treated as resolving
@@ -274,7 +275,7 @@ func (c *checker) applyResolutions(n ast.Node, s *state) {
 			return true
 		}
 		// One-level summary: a same-package helper that resolves slots
-		// (reaping hedged losers, draining a result channel) resolves
+		// (reaping abandoned requests, draining a result channel) resolves
 		// the live claims.
 		if fn := analysis.Callee(c.pass.TypesInfo, call); fn != nil && c.resolvers[fn] {
 			for k, ci := range s.claims {

@@ -10,7 +10,7 @@ func (b *Breaker) Success()    {}
 func (b *Breaker) Failure()    {}
 func (b *Breaker) Cancel()     {}
 
-// Health mimics internal/cluster's per-peer breaker view.
+// Health is a name-keyed per-peer breaker view.
 type Health struct{}
 
 func (h *Health) Allow(peer string) bool      { return peer != "" }
@@ -41,7 +41,7 @@ func deferredCancel(b *Breaker, work func()) {
 }
 
 // transferToCaller hands the claim to the caller: the wrapper pattern
-// used by Health.Allow around the per-peer breakers.
+// client.Breaker.Allow uses around its state machine.
 type Gate struct {
 	open bool
 	b    *Breaker

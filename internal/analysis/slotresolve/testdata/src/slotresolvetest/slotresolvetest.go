@@ -15,7 +15,7 @@ func (b *Breaker) Success()    {}
 func (b *Breaker) Failure()    {}
 func (b *Breaker) Cancel()     {}
 
-// Health mimics internal/cluster's per-peer breaker view.
+// Health is a name-keyed per-peer breaker view.
 type Health struct{}
 
 func (h *Health) Allow(peer string) bool     { return peer != "" }

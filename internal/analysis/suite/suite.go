@@ -49,7 +49,8 @@ var meteredPackages = []string{
 //     ctxflow do include internal/analysis.
 //   - slotresolve: the packages that speak the breaker slot protocol —
 //     the resilient client (breaker state machine), the cluster router
-//     and health view, and serve (which owns the daemon wiring).
+//     and rebalancer (one breaker per peer), and serve (which owns the
+//     daemon wiring).
 //   - errsink: the durability paths — vfs, persist and serve (which
 //     flushes snapshots on drain). cluster is out of scope: its one
 //     Close is an http response body on a best-effort warm-start path.

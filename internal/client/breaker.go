@@ -150,8 +150,8 @@ func (b *breaker) failure() {
 }
 
 // cancelSlot releases a slot claimed by allow() without judging the
-// peer: the request was abandoned (a hedged loser torn down after a
-// winner, not a verdict on the peer's health). In the closed state
+// peer: the request was abandoned (its caller's context died, which is
+// not a verdict on the peer's health). In the closed state
 // this is a no-op; in half-open it frees the probe slot so the next
 // request can probe instead of parking the breaker half-open forever.
 func (b *breaker) cancelSlot() {
@@ -174,12 +174,13 @@ func (b *breaker) currentState() breakerState {
 
 // Breaker is the exported half-open circuit breaker: the same state
 // machine the Client runs per daemon, reusable as a standalone
-// component (internal/cluster keeps one per peer for its health view).
+// component (the cluster router keeps one per peer in its routing
+// state, the rebalancer one per push destination).
 //
 // Contract: every Allow() == true must be followed by exactly one
-// Success() or Failure() — in the half-open state, Allow grants the
-// single probe slot, and a caller that drops the slot on the floor
-// parks the breaker half-open forever.
+// Success(), Failure() or Cancel() — in the half-open state, Allow
+// grants the single probe slot, and a caller that drops the slot on
+// the floor parks the breaker half-open forever.
 type Breaker struct{ b *breaker }
 
 // NewBreaker builds a standalone breaker. now is the clock (nil means
@@ -203,8 +204,8 @@ func (b *Breaker) Success() { b.b.success() }
 func (b *Breaker) Failure() { b.b.failure() }
 
 // Cancel releases an Allow slot without recording a verdict: the
-// request was abandoned before completing (e.g. a hedged loser), so
-// its fate says nothing about the peer.
+// request was abandoned before completing (e.g. its caller's context
+// died), so its fate says nothing about the peer.
 func (b *Breaker) Cancel() { b.b.cancelSlot() }
 
 // State names the current state ("closed", "open", "half-open").

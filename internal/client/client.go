@@ -20,8 +20,8 @@
 //     cooled-down probe closes it, and while open the client fails
 //     fast with ErrCircuitOpen instead of queueing doomed work.
 //
-// The client talks to one daemon. Hedging across daemons is the
-// cluster router's job (internal/cluster races ring successors), and
+// The client talks to one daemon. Failing over across daemons is the
+// cluster router's job (internal/cluster walks ring successors), and
 // so is the codec on the internal peer hop: the router always sends
 // the binary wire protocol, while JSON remains the public edge codec
 // for ljqopt and other external callers.

@@ -59,9 +59,8 @@ type chaosRun struct {
 }
 
 // runChaosScript builds a fresh 3-peer cluster and drives the scripted
-// kill/restart/traffic interleaving. Everything is seeded, the caller
-// is sequential, and hedging is off, so two invocations must agree
-// byte for byte.
+// kill/restart/traffic interleaving. Everything is seeded and the
+// caller is sequential, so two invocations must agree byte for byte.
 func runChaosScript(t *testing.T) *chaosRun {
 	t.Helper()
 	peers := []string{"http://peer0", "http://peer1", "http://peer2"}
@@ -145,12 +144,11 @@ func runChaosScript(t *testing.T) *chaosRun {
 	router, err := NewRouter(RouterConfig{
 		Peers: peers,
 		Local: local,
-		// Sequential failover and no circuit state: with HedgeDelay 0
-		// and breakers disabled every request walks the same ladder, so
-		// the trajectory is a pure function of the script. (Breaker
+		// Sequential failover and no circuit state: with breakers
+		// disabled every request walks the same ladder, so the
+		// trajectory is a pure function of the script. (Breaker
 		// routing has its own tests.)
-		Health: HealthConfig{Breaker: client.BreakerConfig{Threshold: -1}},
-		Client: client.Config{Transport: ct, MaxAttempts: 1, PerAttemptTimeout: time.Minute},
+		Client: client.Config{Transport: ct, MaxAttempts: 1, PerAttemptTimeout: time.Minute, Breaker: client.BreakerConfig{Threshold: -1}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -299,8 +299,7 @@ func runChurnScript(t *testing.T) *churnRun {
 		Local: local,
 		// Deterministic mode, as in the static chaos test: sequential
 		// failover, no circuit state, single attempt per peer.
-		Health: HealthConfig{Breaker: client.BreakerConfig{Threshold: -1}},
-		Client: client.Config{Transport: world.ct, MaxAttempts: 1, PerAttemptTimeout: time.Minute},
+		Client: client.Config{Transport: world.ct, MaxAttempts: 1, PerAttemptTimeout: time.Minute, Breaker: client.BreakerConfig{Threshold: -1}},
 	})
 	if err != nil {
 		t.Fatal(err)

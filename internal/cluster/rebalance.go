@@ -37,6 +37,19 @@ import (
 //  3. Never block serving: Apply runs on the membership watcher's
 //     goroutine, not on any request path.
 
+// Push policy: per destination and epoch, at most pushMaxAttempts
+// tries pushRetryBackoff apart, each bounded end to end by
+// pushTimeout; one epoch transition queues at most pushQueueCap
+// entries — overflow is dropped, counted and kept local, never
+// silently lost. The per-destination push breakers take
+// client.BreakerConfig's defaults on the wall clock.
+const (
+	pushMaxAttempts  = 3
+	pushRetryBackoff = 250 * time.Millisecond
+	pushTimeout      = 30 * time.Second
+	pushQueueCap     = 8192
+)
+
 // RebalanceConfig tunes a Rebalancer.
 type RebalanceConfig struct {
 	// Self is this node's own membership URL (normalized, no trailing
@@ -51,24 +64,9 @@ type RebalanceConfig struct {
 	// warm start does not: its body cap and retry machinery fit plan
 	// responses, not bulk snapshot payloads.
 	Transport http.RoundTripper
-	// MaxAttempts bounds tries per destination per epoch (default 3).
-	MaxAttempts int
-	// RetryBackoff is the pause between attempts on one destination
-	// (default 250ms), applied through Sleep.
-	RetryBackoff time.Duration
 	// Sleep pauses between retries (nil = ctx-aware real timer; tests
 	// inject a no-op for determinism).
 	Sleep func(ctx context.Context, d time.Duration) error
-	// PerPushTimeout bounds one POST end to end (default 30s).
-	PerPushTimeout time.Duration
-	// MaxQueuedEntries bounds how many entries one epoch transition
-	// may queue for pushing (default 8192). Overflow is dropped —
-	// counted and kept local, never silently lost.
-	MaxQueuedEntries int
-	// Breaker tunes the per-destination push breakers.
-	Breaker client.BreakerConfig
-	// Now is the breakers' clock (nil = time.Now).
-	Now func() time.Time
 	// Logf, when set, receives one line per push failure and overflow
 	// (typically log.Printf).
 	Logf func(format string, args ...any)
@@ -84,12 +82,6 @@ func (c *RebalanceConfig) fill() error {
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
-	}
 	if c.Sleep == nil {
 		c.Sleep = func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
@@ -101,12 +93,6 @@ func (c *RebalanceConfig) fill() error {
 				return ctx.Err()
 			}
 		}
-	}
-	if c.PerPushTimeout <= 0 {
-		c.PerPushTimeout = 30 * time.Second
-	}
-	if c.MaxQueuedEntries <= 0 {
-		c.MaxQueuedEntries = 8192
 	}
 	return nil
 }
@@ -222,7 +208,7 @@ func (rb *Rebalancer) ship(ctx context.Context, next *Epoch, res *RebalanceResul
 		if dest == self {
 			continue // ours under the new epoch
 		}
-		if queued >= rb.cfg.MaxQueuedEntries {
+		if queued >= pushQueueCap {
 			res.Dropped++
 			rb.dropped.Add(1)
 			continue
@@ -243,7 +229,7 @@ func (rb *Rebalancer) ship(ctx context.Context, next *Epoch, res *RebalanceResul
 	}
 	sort.Strings(dests)
 
-	acked := make(map[string]bool, len(dests))
+	acked := make(map[plancache.Key]bool, queued)
 	for _, dest := range dests {
 		n, err := rb.pushArc(ctx, dest, moved[dest])
 		if err != nil {
@@ -252,20 +238,19 @@ func (rb *Rebalancer) ship(ctx context.Context, next *Epoch, res *RebalanceResul
 			rb.logf("rebalance epoch %d: push to %s failed, keeping %d entries local: %v", next.Seq, dest, len(moved[dest]), err)
 			continue
 		}
-		acked[dest] = true
+		for _, ent := range moved[dest] {
+			acked[ent.Fingerprint] = true
+		}
 		if res.Pushed == nil {
 			res.Pushed = make(map[string]int, len(dests))
 		}
 		res.Pushed[dest] = n
 	}
 
-	// Evict exactly the no-longer-owned arcs whose new owner
-	// acknowledged the push; unacknowledged ones stay (rule 1: stale
-	// beats gone). EvictWhere itself skips entries mid-singleflight.
-	res.Evicted = rb.cfg.Cache.EvictWhere(func(k plancache.Key) bool {
-		dest := next.ring.Primary(k)
-		return dest != self && acked[dest]
-	})
+	// Evict exactly the entries a new owner acknowledged; the rest —
+	// failed pushes and queue overflow — stay (rule 1: stale beats
+	// gone). EvictWhere itself skips entries mid-singleflight.
+	res.Evicted = rb.cfg.Cache.EvictWhere(func(k plancache.Key) bool { return acked[k] })
 	rb.evicted.Add(uint64(res.Evicted))
 }
 
@@ -276,18 +261,18 @@ func (rb *Rebalancer) pushArc(ctx context.Context, dest string, entries []*planc
 	rb.mu.Lock()
 	br := rb.breakers[dest]
 	if br == nil {
-		br = client.NewBreaker(rb.cfg.Breaker, rb.cfg.Now)
+		br = client.NewBreaker(client.BreakerConfig{}, nil)
 		rb.breakers[dest] = br
 	}
 	rb.mu.Unlock()
 	payload := persist.EncodeSnapshot(entries)
 	var lastErr error
-	for attempt := 0; attempt < rb.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < pushMaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 		if attempt > 0 {
-			if err := rb.cfg.Sleep(ctx, rb.cfg.RetryBackoff); err != nil {
+			if err := rb.cfg.Sleep(ctx, pushRetryBackoff); err != nil {
 				return 0, err
 			}
 		}
@@ -308,12 +293,12 @@ func (rb *Rebalancer) pushArc(ctx context.Context, dest string, entries []*planc
 		rb.pushBytes.Add(uint64(len(payload)))
 		return len(entries), nil
 	}
-	return 0, fmt.Errorf("after %d attempts: %w", rb.cfg.MaxAttempts, lastErr)
+	return 0, fmt.Errorf("after %d attempts: %w", pushMaxAttempts, lastErr)
 }
 
 // postOnce performs one POST /snapshot/arc round trip.
 func (rb *Rebalancer) postOnce(ctx context.Context, dest string, payload []byte) error {
-	pctx, cancel := context.WithTimeout(ctx, rb.cfg.PerPushTimeout)
+	pctx, cancel := context.WithTimeout(ctx, pushTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodPost, dest+"/snapshot/arc", bytes.NewReader(payload))
 	if err != nil {

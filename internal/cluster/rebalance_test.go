@@ -2,18 +2,23 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"joinopt/internal/faultinject"
 	"joinopt/internal/fingerprint"
+	"joinopt/internal/plancache"
 	"joinopt/internal/serve"
+	"joinopt/internal/telemetry"
 )
 
 // rebalanceFixture is a two-real-peer cluster plus a rebalancer on
 // peer0, primed so peer0 owns warm arcs that a weight bump on peer1
-// will pull away.
+// will pull away. Both peers' caches hold capacity entries (0 = the
+// plancache default).
 type rebalanceFixture struct {
 	ct       *faultinject.ClusterTransport
 	owner    *serve.Server // peer0, the rebalancing node
@@ -22,11 +27,12 @@ type rebalanceFixture struct {
 	e0, e1   *Epoch // e1 bumps peer1's weight
 }
 
-func newRebalanceFixture(t *testing.T, primed int) *rebalanceFixture {
+func newRebalanceFixture(t *testing.T, primed, capacity int) *rebalanceFixture {
 	t.Helper()
+	scfg := serve.Config{TCoeff: 1, Seed: 1, Cache: plancache.Config{Capacity: capacity}}
 	f := &rebalanceFixture{
-		owner:    serve.New(serve.Config{TCoeff: 1, Seed: 1}),
-		receiver: serve.New(serve.Config{TCoeff: 1, Seed: 1}),
+		owner:    serve.New(scfg),
+		receiver: serve.New(scfg),
 	}
 	f.ct = faultinject.NewClusterTransport(map[string]http.Handler{
 		"peer0": f.owner.Handler(),
@@ -73,7 +79,7 @@ func newRebalanceFixture(t *testing.T, primed int) *rebalanceFixture {
 }
 
 func TestRebalancerPushesAndEvictsMovedArcs(t *testing.T) {
-	f := newRebalanceFixture(t, 3)
+	f := newRebalanceFixture(t, 3, 0)
 	before := len(f.owner.Cache().Dump())
 
 	res, err := f.rb.Apply(context.Background(), f.e1)
@@ -104,7 +110,7 @@ func TestRebalancerPushesAndEvictsMovedArcs(t *testing.T) {
 }
 
 func TestRebalancerKeepsEntriesWhenPushFails(t *testing.T) {
-	f := newRebalanceFixture(t, 2)
+	f := newRebalanceFixture(t, 2, 0)
 	before := len(f.owner.Cache().Dump())
 
 	// The destination is dead: pushes fail after retries, and the
@@ -119,5 +125,93 @@ func TestRebalancerKeepsEntriesWhenPushFails(t *testing.T) {
 	}
 	if res.Evicted != 0 || len(f.owner.Cache().Dump()) != before {
 		t.Fatalf("evicted %d of %d entries despite the failed push", res.Evicted, before)
+	}
+}
+
+// TestRebalancerBoundedQueueShipsOverflowNextEpoch: one epoch
+// transition queues at most pushQueueCap entries. The overflow is
+// counted (RebalanceResult.Dropped and ljq_arc_push_dropped_entries_total),
+// stays local — neither pushed nor evicted — and ships on the next
+// epoch, because it is still held-but-not-owned.
+func TestRebalancerBoundedQueueShipsOverflowNextEpoch(t *testing.T) {
+	const overflow = 100
+	f := newRebalanceFixture(t, 0, 1<<16)
+	reg := telemetry.NewRegistry()
+	f.rb.RegisterMetrics(reg)
+
+	// Warm synthetic entries that peer1 owns under e1 straight into the
+	// owner's cache: no optimizer runs.
+	for i, warmed := 1, 0; warmed < pushQueueCap+overflow; i++ {
+		e := wsEntry(i)
+		if f.e1.Ring().Primary(e.Fingerprint) != "http://peer1" {
+			continue
+		}
+		if !f.owner.Cache().Warm(e) {
+			t.Fatalf("owner cache refused synthetic entry %d", i)
+		}
+		warmed++
+	}
+	dropped := func() string {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, "ljq_arc_push_dropped_entries_total ") {
+				return line
+			}
+		}
+		t.Fatalf("ljq_arc_push_dropped_entries_total not exported:\n%s", sb.String())
+		return ""
+	}
+
+	ctx := context.Background()
+	res, err := f.rb.Apply(ctx, f.e1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dropped != overflow || res.Pushed["http://peer1"] != pushQueueCap || res.Evicted != pushQueueCap || len(res.Failed) != 0 {
+		t.Fatalf("result %+v, want %d pushed and evicted, %d dropped", res, pushQueueCap, overflow)
+	}
+	if got, want := dropped(), fmt.Sprintf("ljq_arc_push_dropped_entries_total %d", overflow); got != want {
+		t.Fatalf("metric %q, want %q", got, want)
+	}
+	// The overflow stayed on the owner and never reached the receiver.
+	kept := f.owner.Cache().Dump()
+	if len(kept) != overflow {
+		t.Fatalf("owner kept %d entries, want the %d dropped ones", len(kept), overflow)
+	}
+	for _, e := range kept {
+		if _, ok := f.receiver.Cache().Peek(e.Fingerprint); ok {
+			t.Fatalf("dropped entry %x reached the receiver", e.Fingerprint[:8])
+		}
+	}
+	if st := f.receiver.Cache().Stats(); st.Warmed != pushQueueCap {
+		t.Fatalf("receiver warmed %d entries, want %d", st.Warmed, pushQueueCap)
+	}
+
+	// The next epoch (same roster) ships the overflow.
+	e2, err := NewEpoch(2, f.e1.Members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = f.rb.Apply(ctx, e2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dropped != 0 || res.Pushed["http://peer1"] != overflow || res.Evicted != overflow {
+		t.Fatalf("next epoch %+v, want the %d dropped entries pushed and evicted", res, overflow)
+	}
+	if n := len(f.owner.Cache().Dump()); n != 0 {
+		t.Fatalf("owner still holds %d moved entries", n)
+	}
+	for _, e := range kept {
+		if _, ok := f.receiver.Cache().Peek(e.Fingerprint); !ok {
+			t.Fatalf("entry %x did not ship on the next epoch", e.Fingerprint[:8])
+		}
+	}
+	if got, want := dropped(), fmt.Sprintf("ljq_arc_push_dropped_entries_total %d", overflow); got != want {
+		t.Fatalf("metric %q after the next epoch, want %q", got, want)
 	}
 }

@@ -1,7 +1,7 @@
 // Package cluster turns independent ljqd daemons into a consistent-
 // hash plan-cache cluster: a deterministic ring routes each canonical
 // query fingerprint to the peer most likely to hold its plan, a
-// breaker-backed health view steers around dead peers, and a shipped
+// circuit breaker per peer steers around dead peers, and a shipped
 // snapshot warm-starts joining or recovering peers so a restart does
 // not trigger a cold re-optimization storm.
 //
@@ -11,8 +11,7 @@
 //     affinity: the same shape always lands on the same peer, so the
 //     cluster-wide hit rate approaches the single-node rate);
 //  2. ring successors — on primary failure or open breaker, the next
-//     distinct peers clockwise on the ring (optionally hedged: the
-//     successor is raced after RouterConfig.HedgeDelay of silence);
+//     distinct peers clockwise on the ring, tried one at a time;
 //  3. local compute — when every candidate peer is down, the router's
 //     embedded serve.Server optimizes in-process. A user request
 //     fails only when the request itself is defective (4xx) or its

@@ -131,7 +131,7 @@ func TestRouterShedFailover429(t *testing.T) {
 	}
 	// Ten consecutive sheds (double the default 5-failure threshold)
 	// left the peer's circuit closed: alive-but-busy is not dead.
-	if got := router.Health().State("http://peer0"); got != "closed" {
+	if got := breakerState(router, "http://peer0"); got != "closed" {
 		t.Fatalf("shedding peer breaker %q, want closed", got)
 	}
 	// With every rung shedding and no local rung, the 429 finally

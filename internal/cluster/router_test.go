@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -34,6 +33,17 @@ type testCluster struct {
 }
 
 func hostOf(peer string) string { return strings.TrimPrefix(peer, "http://") }
+
+// breakerState names peer's breaker state as the router sees it.
+func breakerState(r *Router, peer string) string { return r.peerStateOf(peer).breaker.State() }
+
+// fakeClock is a manually advanced clock for deterministic breaker
+// cooldowns.
+type fakeClock struct{ t time.Time }
+
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 
 func newTestCluster(t *testing.T, rcfg RouterConfig) *testCluster {
 	t.Helper()
@@ -226,7 +236,7 @@ func TestRouterAPIErrorReturnsWithoutFailover(t *testing.T) {
 	}
 	// The peer answered: that is breaker-success, not failure.
 	fp, _, _ := fingerprint.CanonicalQuery(q)
-	if got := r.Health().State(r.Ring().Primary(fp)); got != "closed" {
+	if got := breakerState(r, r.Ring().Primary(fp)); got != "closed" {
 		t.Fatalf("primary breaker %s after 4xx", got)
 	}
 }
@@ -234,11 +244,10 @@ func TestRouterAPIErrorReturnsWithoutFailover(t *testing.T) {
 func TestRouterBreakerSkipAndRecovery(t *testing.T) {
 	clk := newFakeClock()
 	tc := newTestCluster(t, RouterConfig{
-		Health: HealthConfig{
+		Client: client.Config{
 			Breaker: client.BreakerConfig{Threshold: 1, Cooldown: 5 * time.Second},
 			Now:     clk.now,
 		},
-		Client: client.Config{Now: clk.now},
 	})
 	ctx := context.Background()
 	q := queryOwnedBy(t, tc.router.Ring(), "http://peer2", 8)
@@ -247,7 +256,7 @@ func TestRouterBreakerSkipAndRecovery(t *testing.T) {
 	if _, err := tc.router.Optimize(ctx, q); err != nil {
 		t.Fatalf("first: %v", err)
 	}
-	if got := tc.router.Health().State("http://peer2"); got != "open" {
+	if got := breakerState(tc.router, "http://peer2"); got != "open" {
 		t.Fatalf("primary breaker %s after failure (threshold 1)", got)
 	}
 	// Second request: primary skipped without a transport attempt.
@@ -274,11 +283,11 @@ func TestRouterBreakerSkipAndRecovery(t *testing.T) {
 	if resp.Explain == "" {
 		t.Fatal("invalid plan after revival")
 	}
-	if got := tc.router.Health().State("http://peer2"); got != "closed" {
+	if got := breakerState(tc.router, "http://peer2"); got != "closed" {
 		t.Fatalf("breaker %s after successful probe", got)
 	}
-	if tc.router.Health().Transitions("http://peer2") < 3 {
-		t.Fatalf("transitions = %d, want ≥ 3 (closed→open→half-open→closed)", tc.router.Health().Transitions("http://peer2"))
+	if n := tc.router.peerStateOf("http://peer2").breaker.Transitions(); n < 3 {
+		t.Fatalf("transitions = %d, want ≥ 3 (closed→open→half-open→closed)", n)
 	}
 }
 
@@ -314,70 +323,6 @@ func TestRouterNoLocalSurfacesErrNoPeers(t *testing.T) {
 	_, err := tc.router.Optimize(context.Background(), q)
 	if !errors.Is(err, ErrNoPeers) {
 		t.Fatalf("err = %v, want ErrNoPeers", err)
-	}
-}
-
-// TestRouterHedgedFallback: a silent (hanging) primary is raced by the
-// next ring successor after HedgeDelay; the successor wins, the
-// hanging loser is cancelled, no goroutines leak, and the loser's
-// health slot is released without a failure verdict.
-func TestRouterHedgedFallback(t *testing.T) {
-	servers := map[string]*serve.Server{}
-	handlers := map[string]http.Handler{}
-	peers := []string{"http://peer0", "http://peer1", "http://peer2"}
-	for _, p := range peers {
-		srv := serve.New(serve.Config{TCoeff: 1})
-		servers[p] = srv
-		handlers[hostOf(p)] = srv.Handler()
-	}
-	ct := faultinject.NewClusterTransport(handlers, nil)
-	r, err := NewRouter(RouterConfig{
-		Peers:      peers,
-		Client:     client.Config{Transport: ct, MaxAttempts: 1, PerAttemptTimeout: time.Hour},
-		HedgeDelay: time.Millisecond,
-		After: func(d time.Duration) <-chan time.Time {
-			ch := make(chan time.Time, 1)
-			ch <- time.Time{}
-			return ch
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := queryOwnedBy(t, r.Ring(), "http://peer1", 8)
-	// Replace the primary with a handler that hangs until cancelled.
-	ct.Revive("peer1", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		<-req.Context().Done()
-	}))
-
-	before := runtime.NumGoroutine()
-	resp, err := r.Optimize(context.Background(), q)
-	if err != nil {
-		t.Fatalf("hedged Optimize: %v", err)
-	}
-	if resp.Explain == "" {
-		t.Fatal("invalid plan from hedged successor")
-	}
-	st := r.Stats()
-	if st.HedgedFallbacks != 1 || st.Failovers != 1 {
-		t.Fatalf("stats %+v, want one hedged fallback winning", st)
-	}
-	if st.Routes["http://peer1"] != 0 {
-		t.Fatal("the hanging primary was credited with the response")
-	}
-	// The loser was cancelled, not failed: its breaker stays closed.
-	if got := r.Health().State("http://peer1"); got != "closed" {
-		t.Fatalf("primary breaker %s after cancelled hedge loser", got)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, now)
 	}
 }
 

@@ -143,10 +143,6 @@ type Config struct {
 	// upgrades (default: TCoeff). Operators raise it to spend more
 	// search off the latency path than they would synchronously.
 	UpgradeTCoeff float64
-	// UpgradeConcurrency caps concurrently-running background upgrades
-	// (default 2); queued upgrades wait without holding limiter
-	// capacity away from foreground requests.
-	UpgradeConcurrency int
 	// ArcPushMaxBytes caps one POST /snapshot/arc payload (default
 	// 64 MiB, matching the warm-start fetch cap): a confused pusher
 	// must not balloon this peer's memory.
@@ -186,9 +182,6 @@ func (c *Config) fill() {
 	}
 	if c.UpgradeTCoeff <= 0 {
 		c.UpgradeTCoeff = c.TCoeff
-	}
-	if c.UpgradeConcurrency <= 0 {
-		c.UpgradeConcurrency = 2
 	}
 	if c.ArcPushMaxBytes <= 0 {
 		c.ArcPushMaxBytes = 64 << 20

@@ -43,7 +43,7 @@ import (
 //     strategy panic) is discarded, never cached — the Tier-1 plan
 //     stays until a future full run succeeds.
 //   - Capacity: upgrades are capped by their own small gate
-//     (Config.UpgradeConcurrency), not the join-weighted limiter, so
+//     (upgradeConcurrency), not the join-weighted limiter, so
 //     background work never queues ahead of foreground requests.
 type tierOrchestrator struct {
 	srv       *Server
@@ -73,8 +73,13 @@ type tierOrchestrator struct {
 
 // maxPendingUpgrades bounds the scheduled-upgrade backlog; beyond it
 // new upgrades are dropped (the Tier-1 plan simply remains cached, and
-// a later miss after eviction reschedules).
-const maxPendingUpgrades = 1024
+// a later miss after eviction reschedules). upgradeConcurrency caps
+// concurrently-running upgrades; queued ones wait without holding
+// limiter capacity away from foreground requests.
+const (
+	maxPendingUpgrades = 1024
+	upgradeConcurrency = 2
+)
 
 func newTierOrchestrator(s *Server) *tierOrchestrator {
 	//ljqlint:allow ctxflow -- upgrades outlive any single request by design; StopUpgrades cancels this at drain
@@ -82,7 +87,7 @@ func newTierOrchestrator(s *Server) *tierOrchestrator {
 	return &tierOrchestrator{
 		srv:       s,
 		threshold: s.cfg.GreedyThreshold,
-		gate:      make(chan struct{}, s.cfg.UpgradeConcurrency),
+		gate:      make(chan struct{}, upgradeConcurrency),
 		pending:   make(map[fingerprint.Fingerprint]struct{}),
 		ctx:       ctx,
 		cancel:    cancel,
