@@ -6,9 +6,8 @@ import (
 )
 
 // ErrTooLarge reports that an input stream exceeded the size cap the
-// caller imposed on it. The serve boundary maps it to HTTP 413; the
-// query readers (qdsl.ParseLimit, qfile.ReadLimit) return it wrapped,
-// so test with errors.Is.
+// caller imposed on it. The serve boundary maps it to HTTP 413;
+// qfile.ReadLimit returns it wrapped, so test with errors.Is.
 var ErrTooLarge = errors.New("catalog: input exceeds size limit")
 
 // CapReader wraps r so that reading more than max bytes fails with

@@ -255,11 +255,11 @@ func (c *Client) Optimize(ctx context.Context, q *catalog.Query) (*serve.Optimiz
 	if c.cfg.Wire {
 		return c.optimize(ctx, wire.EncodeQuery(q), "/optimize", wire.ContentType, wire.ContentType)
 	}
-	var buf bytes.Buffer
-	if err := qfile.Write(&buf, q); err != nil {
+	body, err := qfile.Append(nil, q)
+	if err != nil {
 		return nil, fmt.Errorf("client: encode query: %w", err)
 	}
-	return c.optimize(ctx, buf.Bytes(), "/optimize", "application/json", "")
+	return c.optimize(ctx, body, "/optimize", "application/json", "")
 }
 
 // OptimizeDSL sends a textual-DSL query body to POST /optimize.

@@ -241,16 +241,18 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 	s := c.shardOf(k)
 	s.mu.Lock()
 	n, ok := s.items[k]
+	var e *Entry
 	if ok {
 		s.moveFront(n)
+		e = n.entry // insertLocked replaces it under the lock
 	}
 	s.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 		if tr := c.trace; tr != nil {
-			tr.Emit(telemetry.EvCacheHit, n.entry.BudgetUsed, "")
+			tr.Emit(telemetry.EvCacheHit, e.BudgetUsed, "")
 		}
-		return n.entry, true
+		return e, true
 	}
 	c.misses.Add(1)
 	if tr := c.trace; tr != nil {
@@ -266,8 +268,8 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 func (c *Cache) Peek(k Key) (*Entry, bool) {
 	s := c.shardOf(k)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	n, ok := s.items[k]
-	s.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
@@ -470,12 +472,13 @@ func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(ctx contex
 	s.mu.Lock()
 	if n, ok := s.items[k]; ok {
 		s.moveFront(n)
+		e = n.entry // insertLocked replaces it under the lock
 		s.mu.Unlock()
 		c.hits.Add(1)
 		if tr := c.trace; tr != nil {
-			tr.Emit(telemetry.EvCacheHit, n.entry.BudgetUsed, "")
+			tr.Emit(telemetry.EvCacheHit, e.BudgetUsed, "")
 		}
-		return n.entry, true, false, nil
+		return e, true, false, nil
 	}
 	if fl, ok := s.flights[k]; ok {
 		s.mu.Unlock()

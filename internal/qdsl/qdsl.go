@@ -20,7 +20,6 @@ package qdsl
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -69,24 +68,6 @@ func Parse(r io.Reader) (*catalog.Query, error) {
 // ParseString parses a query description from a string.
 func ParseString(s string) (*catalog.Query, error) {
 	return Parse(strings.NewReader(s))
-}
-
-// ParseLimit parses a query description from an untrusted reader,
-// refusing inputs larger than max bytes with an error satisfying
-// errors.Is(err, catalog.ErrTooLarge). This is the entry point the
-// serve boundary uses: an oversized — possibly hostile — body fails
-// loudly instead of being truncated to a valid prefix. A non-positive
-// max means no cap.
-func ParseLimit(r io.Reader, max int64) (*catalog.Query, error) {
-	// Slurp through the cap before parsing: bufio.Scanner would
-	// otherwise hand the parser the truncated final line as a token
-	// before surfacing the read error, masking ErrTooLarge behind a
-	// spurious syntax error. Memory use is bounded by max.
-	data, err := io.ReadAll(catalog.CapReader(r, max))
-	if err != nil {
-		return nil, fmt.Errorf("qdsl: %w", err)
-	}
-	return Parse(bytes.NewReader(data))
 }
 
 func parseRelation(q *catalog.Query, index map[string]catalog.RelID, fields []string) error {

@@ -15,11 +15,14 @@
 //	     "selectivity": 0}          // 0 = derive from distinct counts
 //	  ]
 //	}
+//
+// The query codec is one pass over this fixed schema, without
+// reflection: Decode builds the catalog.Query straight from the bytes
+// and Append writes the bytes encoding/json's indented encoder would.
+// encoding/json remains the reference both are tested against.
 package qfile
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -27,130 +30,30 @@ import (
 	"joinopt/internal/catalog"
 )
 
-// jsonQuery mirrors catalog.Query with JSON tags.
-type jsonQuery struct {
-	Relations  []jsonRelation  `json:"relations"`
-	Predicates []jsonPredicate `json:"predicates"`
-}
-
-type jsonRelation struct {
-	Name        string          `json:"name,omitempty"`
-	Cardinality int64           `json:"cardinality"`
-	Selections  []jsonSelection `json:"selections,omitempty"`
-}
-
-type jsonSelection struct {
-	Selectivity float64 `json:"selectivity"`
-}
-
-type jsonPredicate struct {
-	Left          int            `json:"left"`
-	Right         int            `json:"right"`
-	LeftDistinct  float64        `json:"leftDistinct,omitempty"`
-	RightDistinct float64        `json:"rightDistinct,omitempty"`
-	Selectivity   float64        `json:"selectivity,omitempty"`
-	LeftHist      *jsonHistogram `json:"leftHist,omitempty"`
-	RightHist     *jsonHistogram `json:"rightHist,omitempty"`
-}
-
-type jsonHistogram struct {
-	Domain int64     `json:"domain"`
-	Counts []float64 `json:"counts"`
-}
-
-func histToJSON(h *catalog.Histogram) *jsonHistogram {
-	if h == nil {
-		return nil
-	}
-	return &jsonHistogram{Domain: h.Domain, Counts: append([]float64(nil), h.Counts...)}
-}
-
-func histFromJSON(j *jsonHistogram) *catalog.Histogram {
-	if j == nil {
-		return nil
-	}
-	return &catalog.Histogram{Domain: j.Domain, Counts: append([]float64(nil), j.Counts...)}
-}
-
-func toJSON(q *catalog.Query) *jsonQuery {
-	out := &jsonQuery{}
-	for _, r := range q.Relations {
-		jr := jsonRelation{Name: r.Name, Cardinality: r.Cardinality}
-		for _, s := range r.Selections {
-			jr.Selections = append(jr.Selections, jsonSelection{Selectivity: s.Selectivity})
-		}
-		out.Relations = append(out.Relations, jr)
-	}
-	for _, p := range q.Predicates {
-		out.Predicates = append(out.Predicates, jsonPredicate{
-			Left: int(p.Left), Right: int(p.Right),
-			LeftDistinct: p.LeftDistinct, RightDistinct: p.RightDistinct,
-			Selectivity: p.Selectivity,
-			LeftHist:    histToJSON(p.LeftHist),
-			RightHist:   histToJSON(p.RightHist),
-		})
-	}
-	return out
-}
-
-func fromJSON(j *jsonQuery) *catalog.Query {
-	q := &catalog.Query{}
-	for _, r := range j.Relations {
-		cr := catalog.Relation{Name: r.Name, Cardinality: r.Cardinality}
-		for _, s := range r.Selections {
-			cr.Selections = append(cr.Selections, catalog.Selection{Selectivity: s.Selectivity})
-		}
-		q.Relations = append(q.Relations, cr)
-	}
-	for _, p := range j.Predicates {
-		q.Predicates = append(q.Predicates, catalog.Predicate{
-			Left: catalog.RelID(p.Left), Right: catalog.RelID(p.Right),
-			LeftDistinct: p.LeftDistinct, RightDistinct: p.RightDistinct,
-			Selectivity: p.Selectivity,
-			LeftHist:    histFromJSON(p.LeftHist),
-			RightHist:   histFromJSON(p.RightHist),
-		})
-	}
-	return q
-}
-
-// Write serializes the query as indented JSON.
+// Write serializes the query as indented JSON (see Append).
 func Write(w io.Writer, q *catalog.Query) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(toJSON(q))
+	b, err := Append(nil, q)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 // ReadLimit parses a query from an untrusted reader, refusing inputs
 // larger than max bytes with an error satisfying errors.Is(err,
-// catalog.ErrTooLarge). The serve boundary reads request bodies
-// through this entry point. A non-positive max means no cap.
+// catalog.ErrTooLarge). A non-positive max means no cap.
 func ReadLimit(r io.Reader, max int64) (*catalog.Query, error) {
-	// Slurp through the cap before decoding: json.Decoder stops at the
-	// end of the value and would never read the bytes that breach the
-	// cap (e.g. a trailing newline), silently accepting an oversized
-	// body. Memory use is bounded by max.
 	data, err := io.ReadAll(catalog.CapReader(r, max))
 	if err != nil {
 		return nil, fmt.Errorf("qfile: %w", err)
 	}
-	return Read(bytes.NewReader(data))
+	return Decode(data)
 }
 
-// Read parses and validates a query.
+// Read parses and validates a query (see Decode).
 func Read(r io.Reader) (*catalog.Query, error) {
-	var j jsonQuery
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&j); err != nil {
-		return nil, fmt.Errorf("qfile: %w", err)
-	}
-	q := fromJSON(&j)
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	q.Normalize()
-	return q, nil
+	return ReadLimit(r, 0)
 }
 
 // WriteFile writes the query to a file path ("-" = stdout).

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -111,7 +110,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	unique := make(map[fingerprint.Fingerprint]*computed)
 	for i, raw := range req.Queries {
-		q, err := qfile.Read(bytes.NewReader(raw))
+		q, err := qfile.Decode(raw)
 		if err != nil {
 			results[i] = BatchItem{Error: err.Error(), Status: http.StatusBadRequest}
 			continue

@@ -41,7 +41,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -771,9 +770,9 @@ func translatePlan(pl *plan.Plan, order []catalog.RelID) *plan.Plan {
 // interchange format by default; `?format=dsl` or a Content-Type
 // containing "x-qdsl" selects the textual DSL, and `?format=wire` or a
 // Content-Type containing "x-ljq-wire" selects the binary wire codec.
-// All paths go through the hardened limit readers, so an oversized body
-// surfaces as catalog.ErrTooLarge (→ 413), never as a silently
-// truncated parse.
+// The body is read once, through catalog.CapReader, for every codec:
+// an oversized body surfaces as catalog.ErrTooLarge (→ 413), never as
+// a silently truncated parse.
 func decodeQuery(r *http.Request, maxBytes int64) (*catalog.Query, error) {
 	format := r.URL.Query().Get("format")
 	ct := r.Header.Get("Content-Type")
@@ -784,19 +783,30 @@ func decodeQuery(r *http.Request, maxBytes int64) (*catalog.Query, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown format %q (want dsl, json or wire)", format)
 	}
-	if isWire {
-		data, err := io.ReadAll(catalog.CapReader(r.Body, maxBytes))
-		if err != nil {
-			return nil, err
+	// Every decoder copies what it keeps out of the body, so the
+	// buffer goes back to the pool once decoding returns.
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= jsonBufPoolCap {
+			bodyBufPool.Put(buf)
 		}
-		return wire.DecodeQuery(data)
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(catalog.CapReader(r.Body, maxBytes)); err != nil {
+		return nil, err
 	}
-	br := bufio.NewReader(r.Body)
-	if isDSL {
-		return qdsl.ParseLimit(br, maxBytes)
+	switch body := buf.Bytes(); {
+	case isWire:
+		return wire.DecodeQuery(body)
+	case isDSL:
+		return qdsl.Parse(bytes.NewReader(body))
+	default:
+		return qfile.Decode(body)
 	}
-	return qfile.ReadLimit(br, maxBytes)
 }
+
+// bodyBufPool holds request-body buffers for decodeQuery.
+var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // jsonEncBuf is one pooled encode unit: the buffer and an encoder
 // permanently aimed at it (json.Encoder has no Reset, so reusing it

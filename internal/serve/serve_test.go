@@ -216,6 +216,20 @@ func TestMalformedBody400(t *testing.T) {
 	}
 }
 
+// TestConcatenatedQueries400: a body holding two queries is refused,
+// not answered with a plan for the first one.
+func TestConcatenatedQueries400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := queryBody(t, workload.Default().Generate(4, rand.New(rand.NewSource(1))))
+	if resp, _ := postOptimize(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("one query: status %d, want 200", resp.StatusCode)
+	}
+	two := append(append([]byte(nil), body...), body...)
+	if resp, _ := postOptimize(t, ts.URL, two); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("two queries: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestLoadShedding503: with the limiter saturated, requests are shed
 // after the queue deadline with 503 + Retry-After, and served again
 // once capacity frees up.

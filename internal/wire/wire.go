@@ -86,8 +86,8 @@ type Response struct {
 }
 
 // IsFrame reports whether data begins with the wire magic — the cheap
-// sniff clients use to tell a binary response from a JSON one when a
-// pre-wire daemon ignored their Accept header.
+// sniff the client uses to tell a binary response from a JSON one
+// without trusting the response headers.
 func IsFrame(data []byte) bool {
 	return len(data) >= len(magic) && string(data[:len(magic)]) == magic
 }
