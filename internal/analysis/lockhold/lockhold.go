@@ -173,12 +173,12 @@ func (c *checker) callBlocks(call *ast.CallExpr) (token.Pos, string, bool) {
 	case "net/http":
 		switch name {
 		case "Do", "Get", "Post", "PostForm", "Head", "RoundTrip":
-			return call.Pos(), "net/http "+name, true
+			return call.Pos(), "net/http " + name, true
 		}
 	case "net":
 		switch name {
 		case "Dial", "DialTimeout", "DialContext", "Listen", "Accept":
-			return call.Pos(), "net."+name, true
+			return call.Pos(), "net." + name, true
 		}
 	}
 	return token.NoPos, "", false

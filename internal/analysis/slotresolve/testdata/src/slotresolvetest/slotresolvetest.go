@@ -18,9 +18,9 @@ func (b *Breaker) Cancel()     {}
 // Health is a name-keyed per-peer breaker view.
 type Health struct{}
 
-func (h *Health) Allow(peer string) bool     { return peer != "" }
-func (h *Health) ReportSuccess(peer string)  {}
-func (h *Health) ReportFailure(peer string)  {}
+func (h *Health) Allow(peer string) bool      { return peer != "" }
+func (h *Health) ReportSuccess(peer string)   {}
+func (h *Health) ReportFailure(peer string)   {}
 func (h *Health) ReportCancelled(peer string) {}
 
 // leakOnEarlyReturn drops the slot on the error return path.

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"joinopt/internal/cost"
+	"joinopt/internal/fingerprint"
+	"joinopt/internal/greedy"
 	"joinopt/internal/telemetry"
 	"joinopt/internal/testutil"
+	"joinopt/internal/workload"
 )
 
 // benchRun executes one fully budgeted IAI optimization with the given
@@ -39,4 +43,36 @@ func BenchmarkRunNilTracer(b *testing.B) { benchRun(b, nil) }
 // append under a mutex per event).
 func BenchmarkRunActiveTracer(b *testing.B) {
 	benchRun(b, telemetry.NewTracer(telemetry.DefaultTraceCapacity))
+}
+
+// BenchmarkUpgradeIAI20 prices one background Tier-2 upgrade exactly as
+// ljqd runs it on a cache miss: IAI at t = 9 with seed 1 over the
+// canonical relabeling of the 20-join smoke query, warm-started from
+// the greedy order. Each iteration clones the query, as the upgrade
+// does. Budgeted in ALLOC_BUDGETS.json; timings live in
+// BENCH_search.json.
+func BenchmarkUpgradeIAI20(b *testing.B) {
+	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
+	_, order := fingerprint.Canonical(q)
+	cq := fingerprint.Relabel(q, order)
+	g, err := greedy.New(cq.Clone(), cost.NewMemoryModel())
+	if err != nil {
+		b.Fatal(err)
+	}
+	incumbent := g.Plan().ToPlan().Order()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		budget := cost.NewBudget(cost.UnitsFor(9, 20))
+		opt, err := NewOptimizer(cq.Clone(), cost.NewMemoryModel(), budget,
+			rand.New(rand.NewSource(1)), Options{Incumbent: incumbent})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := opt.RunContext(ctx, IAI)
+		if err != nil || pl.Degraded {
+			b.Fatalf("upgrade failed: %v", err)
+		}
+	}
 }

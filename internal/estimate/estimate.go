@@ -93,10 +93,18 @@ func (s *Stats) JoinSize(outerSize float64, inSet joingraph.Bitset, inner catalo
 
 // SelectivityInto returns the combined (dynamic) join selectivity of all
 // edges linking relation inner to the prefix set, given the prefix's
-// current size. See JoinSize for the model.
+// current size. See JoinSize for the model. It walks inner's CSR
+// incidences, which keep merged-edge order, so the product always
+// accumulates in the same order.
 func (s *Stats) SelectivityInto(outerSize float64, inSet joingraph.Bitset, inner catalog.RelID) float64 {
 	sel := 1.0
-	s.graph.ForEachIncident(inner, inSet, func(e joingraph.Edge, other catalog.RelID) {
+	csr := s.graph.CSR()
+	edges := s.graph.Edges()
+	for k := csr.Off[inner]; k < csr.Off[inner+1]; k++ {
+		if !inSet.Test(catalog.RelID(csr.Nbr[k])) {
+			continue
+		}
+		e := &edges[csr.EdgeIdx[k]]
 		// Histograms, when both sides carry aligned ones, dominate the
 		// flat models: they capture skew neither distinct counts nor a
 		// single selectivity can. Histogram selectivities are used
@@ -104,7 +112,7 @@ func (s *Stats) SelectivityInto(outerSize float64, inSet joingraph.Bitset, inner
 		// value distribution).
 		if j, ok := e.FromHist.JoinSelectivity(e.ToHist); ok {
 			sel *= j
-			return
+			continue
 		}
 		dInner, dOuter := e.FromDistinct, e.ToDistinct
 		if e.From != inner {
@@ -113,19 +121,45 @@ func (s *Stats) SelectivityInto(outerSize float64, inSet joingraph.Bitset, inner
 		if dInner < 1 || dOuter < 1 {
 			// No distinct statistics: use the static selectivity.
 			sel *= e.Selectivity
-			return
+			continue
 		}
 		// residual preserves any selectivity beyond the distinct-count
 		// model: merged parallel predicates and user-supplied explicit
 		// selectivities. It is exactly 1 for a plain normalized edge,
 		// so in static mode base·residual reproduces e.Selectivity.
-		residual := e.Selectivity * math.Max(dInner, dOuter)
+		residual := e.Selectivity * maxf(dInner, dOuter)
 		if !s.static {
-			dOuter = math.Min(dOuter, math.Max(outerSize, 1e-12))
+			dOuter = minf(dOuter, maxf(outerSize, 1e-12))
 		}
-		sel *= residual / math.Max(dOuter, dInner)
-	})
+		sel *= residual / maxf(dOuter, dInner)
+	}
 	return sel
+}
+
+// maxf returns exactly what math.Max returns for every input, NaN, ±Inf
+// and ±0 included, but inlines: only unordered or equal operands reach
+// math.Max, which amd64 implements in assembly that never inlines. The
+// builtin max is not a substitute: max(+Inf, NaN) is NaN where
+// math.Max gives +Inf, and nothing validates distinct counts as finite.
+func maxf(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	if x < y {
+		return y
+	}
+	return math.Max(x, y)
+}
+
+// minf is maxf's counterpart for math.Min.
+func minf(x, y float64) float64 {
+	if x < y {
+		return x
+	}
+	if x > y {
+		return y
+	}
+	return math.Min(x, y)
 }
 
 // Prefix incrementally tracks the intermediate-result size of a growing

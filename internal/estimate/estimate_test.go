@@ -249,3 +249,45 @@ func makeBitset(n int, members ...int) joingraph.Bitset {
 	}
 	return b
 }
+
+// TestMinMaxMatchMath pins maxf and minf to math.Max and math.Min bit
+// for bit over every ordered pair of special and boundary values — NaN,
+// ±Inf and ±0 included, where the builtin max and min differ.
+func TestMinMaxMatchMath(t *testing.T) {
+	vals := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		5e-324, 1e-12, 1, math.MaxFloat64, -1, -math.MaxFloat64,
+	}
+	for _, x := range vals {
+		for _, y := range vals {
+			if got, want := maxf(x, y), math.Max(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("maxf(%v, %v) = %v (%#x), math.Max = %v (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got, want := minf(x, y), math.Min(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("minf(%v, %v) = %v (%#x), math.Min = %v (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestSelectivityIntoSkipsEdgesOutsideSet: on the chain 0-1-2-3 with
+// prefix {1, 2}, relation 2's edge to 3 leads outside the prefix and
+// must not contribute, and 2's own membership adds nothing either;
+// only the 1-2 edge's selectivity remains.
+func TestSelectivityIntoSkipsEdgesOutsideSet(t *testing.T) {
+	q := &catalog.Query{
+		Relations: []catalog.Relation{{Cardinality: 100}, {Cardinality: 100}, {Cardinality: 100}, {Cardinality: 100}},
+		Predicates: []catalog.Predicate{
+			{Left: 0, Right: 1, Selectivity: 0.5},
+			{Left: 1, Right: 2, Selectivity: 0.1},
+			{Left: 2, Right: 3, Selectivity: 0.2},
+		},
+	}
+	st := build(q)
+	if got := st.SelectivityInto(100, makeBitset(4, 1, 2), 2); got != 0.1 {
+		t.Fatalf("selectivity into {1,2}: got %g, want 0.1", got)
+	}
+	if got := st.SelectivityInto(100, makeBitset(4, 0), 3); got != 1 {
+		t.Fatalf("selectivity with no edge into the set: got %g, want 1 (cross product)", got)
+	}
+}

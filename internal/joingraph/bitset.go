@@ -12,7 +12,7 @@
 // The view is built once per query inside New and shared by everything
 // that consumes the graph: fingerprint canonicalization, the greedy
 // planner, the move-based search strategies' validity scans, and the
-// estimator's prefix frontier.
+// estimator's prefix frontier and selectivity walk.
 package joingraph
 
 import (
@@ -87,9 +87,8 @@ type CSR struct {
 	// Off has one entry per vertex plus a terminator.
 	Off []int32
 	// Nbr lists neighbor vertex ids, grouped by vertex, in merged-edge
-	// index order within each group (the same order Graph.Neighbors and
-	// ForEachIncident visit, so float accumulation orders are preserved
-	// when callers switch views).
+	// index order within each group (the order Graph.Neighbors visits),
+	// so products accumulated over an incidence walk are order-stable.
 	Nbr []int32
 	// EdgeIdx holds the index into Graph.Edges() of each incidence.
 	EdgeIdx []int32

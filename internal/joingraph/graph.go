@@ -142,25 +142,6 @@ func (g *Graph) SelectivityBetween(v catalog.RelID, set Bitset) float64 {
 	return sel
 }
 
-// ForEachIncident invokes f for every edge incident to v whose other
-// endpoint is in set, passing the edge and that endpoint. Edges are
-// visited in merged-edge index order, so callers' floating-point
-// accumulations are order-stable across views.
-//
-//ljqlint:hotpath
-func (g *Graph) ForEachIncident(v catalog.RelID, set Bitset, f func(Edge, catalog.RelID)) {
-	for _, ei := range g.adj[v] {
-		e := g.edges[ei]
-		other := e.From
-		if other == v {
-			other = e.To
-		}
-		if set.Test(other) {
-			f(e, other)
-		}
-	}
-}
-
 // JoinsInto reports whether v joins with at least one relation in set:
 // a word-AND over v's precomputed neighbor mask, independent of degree.
 //

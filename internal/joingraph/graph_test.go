@@ -282,18 +282,6 @@ func TestMSTSpansProperty(t *testing.T) {
 	}
 }
 
-func TestForEachIncident(t *testing.T) {
-	g := New(chainQuery(4))
-	inSet := makeBitset(4, 1, 2)
-	var got []catalog.RelID
-	g.ForEachIncident(2, inSet, func(e Edge, other catalog.RelID) {
-		got = append(got, other)
-	})
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("incident into set: %v, want [1]", got)
-	}
-}
-
 // makeBitset builds a Bitset of capacity n with the given members set.
 func makeBitset(n int, members ...int) Bitset {
 	b := NewBitset(n)

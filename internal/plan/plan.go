@@ -20,6 +20,7 @@ import (
 	"joinopt/internal/catalog"
 	"joinopt/internal/cost"
 	"joinopt/internal/estimate"
+	"joinopt/internal/joingraph"
 )
 
 // EvalUnitsPerJoin is the budget charge per join inside a cost-function
@@ -70,14 +71,15 @@ type FaultInjector interface {
 }
 
 // Evaluator prices permutations for one query under one cost model,
-// debiting one budget unit per join costed. It is not safe for
-// concurrent use; create one per goroutine.
+// debiting the budget for every evaluation and validity check. It is
+// not safe for concurrent use; create one per goroutine.
 type Evaluator struct {
 	stats  *estimate.Stats
 	model  cost.Model
 	budget *cost.Budget
-	prefix *estimate.Prefix
-	fault  FaultInjector
+	// inSet is the membership scratch of validity checks and pricing.
+	inSet joingraph.Bitset
+	fault FaultInjector
 }
 
 // NewEvaluator returns an evaluator over the query statistics. budget
@@ -87,7 +89,7 @@ func NewEvaluator(stats *estimate.Stats, model cost.Model, budget *cost.Budget) 
 		stats:  stats,
 		model:  model,
 		budget: budget,
-		prefix: estimate.NewPrefix(stats),
+		inSet:  joingraph.NewBitset(stats.Query().NumRelations()),
 	}
 }
 
@@ -105,53 +107,105 @@ func (e *Evaluator) Budget() *cost.Budget { return e.budget }
 // production path never sets one.
 func (e *Evaluator) SetFaultInjector(fi FaultInjector) { e.fault = fi }
 
+// Trail records how one permutation was priced, position by position:
+// Size[i] is the intermediate-result size after joining positions
+// [0, i] and Total[i] the running cost of those joins (Total[0] is 0).
+// A permutation that shares positions [0, k) with the recorded one can
+// be priced from position k on (CostFrom) with the same arithmetic, in
+// the same order, as a full Cost.
+type Trail struct {
+	Size, Total []float64
+}
+
 // Cost prices the permutation: the sum of join costs along the prefix.
 // It charges EvalUnitsPerJoin budget units per join. Validity is not
 // checked; an invalid permutation is priced with the implied cross
 // products.
 func (e *Evaluator) Cost(p Perm) float64 {
-	e.prefix.Reset()
-	total := 0.0
-	for i, r := range p {
-		outer, inner, result := e.prefix.Extend(r)
-		if i == 0 {
-			continue
-		}
-		total += e.model.JoinCost(outer, inner, result)
-		e.budget.Charge(EvalUnitsPerJoin)
-	}
+	total := e.price(p, 0, Trail{})
 	// +Inf is legitimate saturation (estimator overflow), NaN never is.
 	// Asserted before fault injection: injected NaN is the test
 	// machinery's deliberate poison and must pass through.
 	if invariant.Enabled {
 		invariant.NotNaN(total, "evaluator total cost")
 	}
+	return e.inject(total)
+}
+
+// CostFrom prices p like Cost, resuming at position from: tr must hold
+// the Size and Total entries of a permutation that shares positions
+// [0, from) with p, and CostFrom records p's entries for positions
+// [from, len(p)) into it. The joins from position from on are added to
+// Total[from-1] in the same order a full Cost adds them, so the result
+// equals Cost(p) bit for bit.
+//
+// Resuming saves arithmetic, not budget: the evaluation still charges
+// the full EvalUnitsPerJoin·(len(p)−1) and consults the fault injector
+// once, since the units meter the paper's model of optimization work,
+// not this implementation's.
+func (e *Evaluator) CostFrom(p Perm, from int, tr Trail) float64 {
+	total := e.price(p, from, tr)
+	if invariant.Enabled {
+		invariant.NotNaN(total, "evaluator total cost")
+	}
+	return e.inject(total)
+}
+
+// inject hands a computed total to the fault injector, if one is set.
+func (e *Evaluator) inject(total float64) float64 {
 	if e.fault != nil {
-		total = e.fault.Eval(total)
+		return e.fault.Eval(total)
 	}
 	return total
 }
 
 // PrefixCost prices only the first k relations of p (k-1 joins),
-// charging EvalUnitsPerJoin units per join. Used by local improvement
-// to price cluster rearrangements cheaply.
+// charging EvalUnitsPerJoin units per join.
 func (e *Evaluator) PrefixCost(p Perm, k int) float64 {
-	if k > len(p) {
-		k = len(p)
-	}
-	e.prefix.Reset()
-	total := 0.0
-	for i := 0; i < k; i++ {
-		outer, inner, result := e.prefix.Extend(p[i])
-		if i == 0 {
-			continue
-		}
-		total += e.model.JoinCost(outer, inner, result)
-		e.budget.Charge(EvalUnitsPerJoin)
-	}
+	k = min(max(k, 0), len(p))
+	total := e.price(p[:k], 0, Trail{})
 	if invariant.Enabled {
 		invariant.NotNaN(total, "evaluator prefix cost")
 	}
+	return total
+}
+
+// price is the pricing loop behind every evaluation. It seeds the
+// intermediate size and running total from tr at from-1 (or from
+// p[0]'s cardinality when from is 0), adds one join per remaining
+// position — recording each into tr unless tr is the zero Trail — and
+// charges the evaluation once, EvalUnitsPerJoin per join of p.
+func (e *Evaluator) price(p Perm, from int, tr Trail) float64 {
+	if len(p) == 0 {
+		return 0
+	}
+	record := tr.Size != nil
+	set := e.inSet
+	set.Reset()
+	var size, total float64
+	if from == 0 {
+		size = e.stats.Cardinality(p[0])
+		if record {
+			tr.Size[0], tr.Total[0] = size, 0
+		}
+		from = 1
+	} else {
+		size, total = tr.Size[from-1], tr.Total[from-1]
+	}
+	for _, r := range p[:from] {
+		set.Set(r)
+	}
+	for i := from; i < len(p); i++ {
+		r := p[i]
+		result := e.stats.JoinSize(size, set, r)
+		total += e.model.JoinCost(size, e.stats.Cardinality(r), result)
+		set.Set(r)
+		size = result
+		if record {
+			tr.Size[i], tr.Total[i] = size, total
+		}
+	}
+	e.budget.Charge(EvalUnitsPerJoin * int64(len(p)-1))
 	return total
 }
 
@@ -162,21 +216,10 @@ func (e *Evaluator) PrefixCost(p Perm, k int) float64 {
 // computation, and it is a real cost of move-based search (most random
 // swaps of a valid permutation are invalid, so descent pays for many
 // checks per accepted move, exactly as wall-clock time charged the
-// paper's optimizers).
+// paper's optimizers). A check is a word-AND of the relation's
+// neighbor mask against the membership bitset of its predecessors.
 func (e *Evaluator) Valid(p Perm) bool {
-	if len(p) <= 1 {
-		return true
-	}
-	e.prefix.Reset()
-	e.prefix.Extend(p[0])
-	for _, r := range p[1:] {
-		e.budget.Charge(1)
-		if !e.prefix.Joins(r) {
-			return false
-		}
-		e.prefix.Extend(r)
-	}
-	return true
+	return e.ValidSuffixFrom(p, 1)
 }
 
 // ValidSuffixFrom reports whether p would remain valid if positions
@@ -184,20 +227,26 @@ func (e *Evaluator) Valid(p Perm) bool {
 // already known valid. Used to short-circuit move validity checks.
 // Budget is charged per frontier check, as in Valid.
 func (e *Evaluator) ValidSuffixFrom(p Perm, from int) bool {
-	if from <= 0 {
-		return e.Valid(p)
+	if from < 1 {
+		from = 1
 	}
-	e.prefix.Reset()
-	for i := 0; i < from; i++ {
-		e.prefix.Extend(p[i])
+	if len(p) <= from {
+		return true
 	}
-	for i := from; i < len(p); i++ {
-		e.budget.Charge(1)
-		if !e.prefix.Joins(p[i]) {
+	set := e.inSet
+	set.Reset()
+	for _, r := range p[:from] {
+		set.Set(r)
+	}
+	graph := e.stats.Graph()
+	for i, r := range p[from:] {
+		if !graph.JoinsInto(r, set) {
+			e.budget.Charge(int64(i + 1))
 			return false
 		}
-		e.prefix.Extend(p[i])
+		set.Set(r)
 	}
+	e.budget.Charge(int64(len(p) - from))
 	return true
 }
 

@@ -99,6 +99,45 @@ func TestNeighborDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestNeighborResumedCostMatchesCost drives Neighbor the way every
+// caller does — accept the candidate, propose again from the same
+// state, switch to a state the space has never seen, return to an
+// older state, mutate a state in place — and checks each returned cost
+// against a full Cost on a second evaluator, bit for bit. It pins the
+// trail's keying: a trail reused for the wrong state shows up as a
+// cost mismatch.
+func TestNeighborResumedCostMatchesCost(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sp := newSpace(rng, 4+rng.Intn(30), nil)
+		sp.SwapWeight = 0.5
+		eval := sp.Evaluator()
+		check := plan.NewEvaluator(eval.Stats(), eval.Model(), cost.Unlimited())
+		p := sp.RandomState()
+		older := p.Clone()
+		for step := 0; step < 300; step++ {
+			q, c, ok := sp.Neighbor(p)
+			if ok {
+				if want := check.Cost(q); math.Float64bits(c) != math.Float64bits(want) {
+					t.Fatalf("seed %d step %d: Neighbor priced %v at %v, Cost %v", seed, step, q, c, want)
+				}
+			}
+			switch k := rng.Intn(10); {
+			case ok && k < 5:
+				older, p = p, q
+			case k == 5:
+				p = sp.RandomState()
+			case k == 6:
+				p, older = older, p
+			case k == 7 && ok:
+				// Mutate the state in place into the candidate's
+				// contents: the space must key on contents.
+				copy(p, q)
+			}
+		}
+	}
+}
+
 func TestApplyInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sp := newSpace(rng, 8, nil)

@@ -7,6 +7,7 @@ package search
 
 import (
 	"math/rand"
+	"slices"
 
 	"joinopt/internal/catalog"
 	"joinopt/internal/joingraph"
@@ -50,20 +51,40 @@ type Space struct {
 	// predictable branch per event site.
 	Trace *telemetry.Tracer
 
+	// scratch holds the candidate under construction; after Neighbor
+	// returns, it holds the candidate it priced.
 	scratch plan.Perm
 	inSet   joingraph.Bitset
+
+	// The pricing trail of the state moves are proposed from, keyed on
+	// its contents (base): baseTrail holds its first baseKnown
+	// positions. candTrail holds the last priced candidate's positions
+	// from candFrom on; candPriced reports that scratch holds that
+	// candidate. See Neighbor.
+	base       plan.Perm
+	baseTrail  plan.Trail
+	baseKnown  int
+	candTrail  plan.Trail
+	candFrom   int
+	candPriced bool
 }
 
 // NewSpace returns a search space over the given component relations.
 func NewSpace(eval *plan.Evaluator, rels []catalog.RelID, rng *rand.Rand) *Space {
+	n := len(rels)
+	perms := make(plan.Perm, 2*n)
+	trails := make([]float64, 4*n)
 	return &Space{
 		eval:         eval,
 		rels:         rels,
 		rng:          rng,
 		SwapWeight:   1.0,
 		MaxProposals: 32,
-		scratch:      make(plan.Perm, len(rels)),
+		scratch:      perms[:n:n],
 		inSet:        joingraph.NewBitset(eval.Stats().Query().NumRelations()),
+		base:         perms[n:n],
+		baseTrail:    plan.Trail{Size: trails[:n:n], Total: trails[n : 2*n : 2*n]},
+		candTrail:    plan.Trail{Size: trails[2*n : 3*n : 3*n], Total: trails[3*n:]},
 	}
 }
 
@@ -141,11 +162,22 @@ func frontierIndices(g *joingraph.Graph, remaining []catalog.RelID, inSet joingr
 // cost. It proposes up to MaxProposals random moves, keeping the first
 // valid one; ok is false if none was valid (or the component is too
 // small to move). The returned permutation is freshly allocated.
+//
+// A move changes p only from some position low on, so the candidate is
+// priced from there: the Space keeps p's pricing trail and resumes the
+// running cost at low, which equals a full Cost bit for bit and is
+// charged like one. The trail is kept across calls for the state
+// moves are proposed from, so the usual loops — propose from cur until
+// a candidate is accepted, then from that candidate — price every
+// candidate from its first changed position. For a p the Space has not
+// seen (a fresh start state, a GA child) the trail is built along the
+// way: positions a candidate shares with p are recorded as p's.
 func (s *Space) Neighbor(p plan.Perm) (q plan.Perm, cost float64, ok bool) {
 	n := len(p)
 	if n < 2 {
 		return nil, 0, false
 	}
+	s.adopt(p)
 	for attempt := 0; attempt < s.MaxProposals; attempt++ {
 		copy(s.scratch[:n], p)
 		cand := s.scratch[:n]
@@ -158,10 +190,53 @@ func (s *Space) Neighbor(p plan.Perm) (q plan.Perm, cost float64, ok bool) {
 		if !s.eval.ValidSuffixFrom(cand, low) {
 			continue
 		}
-		q = cand.Clone()
-		return q, s.eval.Cost(q), true
+		cost = s.priceCandidate(cand, low)
+		return cand.Clone(), cost, true
 	}
 	return nil, 0, false
+}
+
+// adopt makes p the state whose trail is kept. If p is the candidate
+// priced last (the caller accepted it), its trail is the base trail up
+// to where that candidate was priced from plus the candidate's own
+// entries after; any other p starts with no known positions.
+func (s *Space) adopt(p plan.Perm) {
+	priced := s.candPriced
+	s.candPriced = false
+	if slices.Equal(p, s.base) {
+		return
+	}
+	n := len(p)
+	if priced && slices.Equal(p, s.scratch[:n]) {
+		from := s.candFrom
+		copy(s.baseTrail.Size[from:n], s.candTrail.Size[from:n])
+		copy(s.baseTrail.Total[from:n], s.candTrail.Total[from:n])
+		s.baseKnown = n
+	} else {
+		s.baseKnown = 0
+	}
+	s.base = append(s.base[:0], p...)
+}
+
+// priceCandidate prices cand, which shares positions [0, low) with the
+// base state, resuming from the base trail where it is known. The
+// shared positions the base trail did not yet know are recorded into
+// it on the way.
+func (s *Space) priceCandidate(cand plan.Perm, low int) float64 {
+	from := min(low, s.baseKnown)
+	if from > 0 {
+		s.candTrail.Size[from-1] = s.baseTrail.Size[from-1]
+		s.candTrail.Total[from-1] = s.baseTrail.Total[from-1]
+	}
+	cost := s.eval.CostFrom(cand, from, s.candTrail)
+	if low > s.baseKnown {
+		copy(s.baseTrail.Size[from:low], s.candTrail.Size[from:low])
+		copy(s.baseTrail.Total[from:low], s.candTrail.Total[from:low])
+		s.baseKnown = low
+	}
+	s.candFrom = from
+	s.candPriced = true
+	return cost
 }
 
 // applySwap swaps two distinct random positions in place and returns the

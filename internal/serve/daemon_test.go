@@ -186,6 +186,7 @@ func TestDaemonCrashMidFinalFlush(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("optimize status %d", resp.StatusCode)
 	}
+	waitAppend(mgr)
 	if mgr.Stats().Appends == 0 {
 		t.Fatal("plan was not journaled before the crash window")
 	}

@@ -153,6 +153,19 @@ func persistentServer(t *testing.T, fs vfs.FS) (*Server, *persist.Manager) {
 	return s, mgr
 }
 
+// waitAppend waits, for at most ten seconds, until mgr has journaled an
+// entry. A miss response can reach the client before its admission is
+// journaled: plancache.finish closes the flight's done channel and only
+// then fires the OnAdmit hook, which keeps the append (and its fsync)
+// off the miss path. Tests that count appends right after a response
+// wait here first; their assertions still fail if the append never
+// comes.
+func waitAppend(mgr *persist.Manager) {
+	for deadline := time.Now().Add(10 * time.Second); mgr.Stats().Appends == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRestartServesByteIdenticalPlan is the end-to-end durability
 // contract: optimize, flush, "restart" (new server over the same
 // directory), and the same query is a cache hit with byte-identical
@@ -169,6 +182,7 @@ func TestRestartServesByteIdenticalPlan(t *testing.T) {
 	if resp1.StatusCode != http.StatusOK || out1.CacheHit {
 		t.Fatalf("first POST: status %d, hit=%v", resp1.StatusCode, out1.CacheHit)
 	}
+	waitAppend(mgr1)
 	// Graceful shutdown: flush the snapshot and close the store.
 	if err := mgr1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -210,12 +224,13 @@ func TestRestartServesByteIdenticalPlan(t *testing.T) {
 // carries the recovery and journal counters.
 func TestStatuszReportsPersist(t *testing.T) {
 	mem := vfs.NewMem()
-	s, _ := persistentServer(t, mem)
+	s, mgr := persistentServer(t, mem)
 	ts := newHTTPServer(t, s)
 	q := workload.Default().Generate(6, rand.New(rand.NewSource(3)))
 	if resp, _ := postOptimize(t, ts.URL, queryBody(t, q)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST: %d", resp.StatusCode)
 	}
+	waitAppend(mgr)
 	st := getStatus(t, ts.URL)
 	if st.Persist == nil {
 		t.Fatal("statusz.persist missing with a bound manager")
