@@ -28,8 +28,7 @@
 //
 // The package deliberately does not charge a cost.Budget: greedy work
 // is bounded by construction (O(V·(V+E)) JoinCost calls), and the
-// Result's Work counter reports it after the fact so the serving layer
-// can record it as the cached entry's BudgetUsed.
+// Result's Work counter reports it after the fact.
 package greedy
 
 import (
@@ -78,8 +77,7 @@ type Result struct {
 	CrossCost float64
 	TotalCost float64
 	// Work counts cost-model evaluations performed, in the same spirit
-	// as the search budget's unit meter: the serving layer records it
-	// as the cached entry's BudgetUsed.
+	// as the search budget's unit meter.
 	Work int64
 }
 

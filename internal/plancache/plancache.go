@@ -59,9 +59,11 @@ type Entry struct {
 	Fingerprint Key
 	// Plan is the optimized plan in canonical coordinates.
 	Plan *plan.Plan
-	// BudgetUsed is the number of budget units the optimizer spent
-	// finding the plan — the entry's replacement-resistance weight
-	// under cost-aware admission.
+	// BudgetUsed is the entry's admission weight in budget units, its
+	// replacement resistance under cost-aware admission. A TierFull
+	// entry weighs what its search spent; a TierGreedy entry weighs the
+	// budget the serving layer reserves for its background upgrade. A
+	// tier upgrade keeps the larger weight.
 	BudgetUsed int64
 	// Tier records which planning tier produced the plan: TierGreedy
 	// for the fast-path greedy planner, TierFull for the full anytime
@@ -112,8 +114,8 @@ type Config struct {
 	// degraded plans are returned to their requesters but not cached).
 	AdmitDegraded bool
 	// Trace, if non-nil, receives cache hit/miss/coalesce events. Hits
-	// are stamped with the cached entry's BudgetUsed (the work units the
-	// served plan originally cost to find — the cache's whole value
+	// are stamped with the cached entry's BudgetUsed (its admission
+	// weight: the work units a hit saves — the cache's whole value
 	// proposition in one number); misses and coalesces carry 0, since no
 	// budget meter exists yet at that point. nil is the zero-overhead
 	// path.

@@ -127,10 +127,11 @@ type Config struct {
 	// shape in the batch still queues for join-weighted capacity.
 	MaxBatchItems int
 	// Tiered enables the tiered planning ladder: a cache miss is served
-	// immediately from the Tier-1 greedy planner (internal/greedy) and
-	// the cached entry is upgraded in the background by the full anytime
-	// search, warm-started from the greedy order. Off by default: the
-	// zero Config keeps the classic synchronous full-search path.
+	// immediately from the Tier-1 greedy planner (internal/greedy) and,
+	// if the cache admits the entry, it is upgraded in the background by
+	// the full anytime search, warm-started from the greedy order. Off
+	// by default: the zero Config keeps the classic synchronous
+	// full-search path.
 	Tiered bool
 	// GreedyThreshold is the Tier-1 escalation ceiling: a greedy plan
 	// whose estimated total cost meets or exceeds it is not served;
@@ -139,8 +140,10 @@ type Config struct {
 	// non-finite greedy costs always escalate).
 	GreedyThreshold float64
 	// UpgradeTCoeff is the budget coefficient for background Tier-2
-	// upgrades (default: TCoeff). Operators raise it to spend more
-	// search off the latency path than they would synchronously.
+	// upgrades (default: TCoeff). The upgrade's budget is also the
+	// admission weight of the Tier-1 entry it replaces. Operators raise
+	// it to spend more search off the latency path than they would
+	// synchronously.
 	UpgradeTCoeff float64
 	// ArcPushMaxBytes caps one POST /snapshot/arc payload (default
 	// 64 MiB, matching the warm-start fetch cap): a confused pusher
@@ -219,7 +222,7 @@ type Server struct {
 	lastShedNano atomic.Int64
 
 	metrics     *telemetry.Registry
-	budgetUsedH *telemetry.Histogram // work units consumed per optimizer run
+	budgetUsedH *telemetry.Histogram // work units consumed per search: synchronous runs and upgrades
 }
 
 // New builds a server.
@@ -266,7 +269,7 @@ func New(cfg Config) *Server {
 		// spanning a 3-relation toy query (~400 units at t=9) up to a
 		// 100-relation monster (~4.5M) cover the service envelope.
 		s.budgetUsedH = reg.Histogram("ljq_optimize_budget_used_units",
-			"Work units consumed per optimizer run.",
+			"Work units consumed per optimizer run, synchronous misses and background Tier-2 upgrades alike.",
 			telemetry.ExpBuckets(256, 4, 10))
 		cache.RegisterMetrics(reg, "ljq_plancache")
 		if s.persist != nil {
@@ -369,11 +372,18 @@ type OptimizeResponse struct {
 	// Coalesced reports the request shared another request's in-flight
 	// optimization (singleflight).
 	Coalesced bool `json:"coalesced"`
-	// Degraded / DegradeReason / BudgetUsed carry the anytime contract
-	// of the run that produced the plan.
+	// Degraded / DegradeReason carry the anytime contract of the run
+	// that produced the plan.
 	Degraded      bool   `json:"degraded"`
 	DegradeReason string `json:"degradeReason,omitempty"`
-	BudgetUsed    int64  `json:"budgetUsed"`
+	// BudgetUsed is the served entry's admission weight in work units
+	// (plancache.Entry.BudgetUsed): for a Tier-2 plan, what its search
+	// spent; for a Tier-1 plan, the budget reserved for its background
+	// upgrade, cost.UnitsFor(UpgradeTCoeff, N−1) for N relations, not
+	// the greedy planner's own few hundred units. The
+	// ljq_optimize_budget_used_units histogram records what each search,
+	// upgrades included, actually spent.
+	BudgetUsed int64 `json:"budgetUsed"`
 	// TotalCost and Order describe the plan in the requester's own
 	// relation numbering; Names maps Order through the requester's
 	// relation names.
@@ -553,6 +563,9 @@ func (s *Server) OptimizeQuery(ctx context.Context, q *catalog.Query) (*Optimize
 // cache hit, coalesced wait, or fresh optimizer run — under the
 // service's request deadline. q stays in the requester's coordinates;
 // the canonical relabeling is built lazily on the miss path only.
+// A flight's leader that produced a Tier-1 entry schedules its
+// background upgrade here, after admission and before the response is
+// written, so only entries the cache kept are upgraded.
 func (s *Server) computeEntry(ctx context.Context, fp fingerprint.Fingerprint, q *catalog.Query, order []catalog.RelID) (entry *plancache.Entry, hit, shared bool, err error) {
 	weight := int64(len(q.Relations) - 1)
 	if weight < 1 {
@@ -572,6 +585,9 @@ func (s *Server) computeEntry(ctx context.Context, fp fingerprint.Fingerprint, q
 	}
 	if entry == nil || entry.Plan == nil {
 		return nil, false, false, errNoPlan
+	}
+	if s.tiers != nil && !hit && !shared && entry.Tier == plancache.TierGreedy {
+		s.tiers.upgradeIfKept(entry, q, order)
 	}
 	return entry, hit, shared, nil
 }

@@ -29,11 +29,19 @@ import (
 // Interaction with the existing machinery, invariant by invariant:
 //
 //   - Singleflight: compute runs inside a cache flight, so concurrent
-//     misses still coalesce onto one greedy run. The background
-//     upgrade does NOT run inside the flight — it Puts its result
-//     directly, and the plancache's upgrade-only replacement refuses a
-//     late Tier-1 insert from the flight after the Tier-2 plan landed,
-//     so the race resolves correctly whichever side finishes first.
+//     misses still coalesce onto one greedy run. compute schedules
+//     nothing: once the flight has finished, its leader
+//     (Server.computeEntry) calls upgradeIfKept, which schedules the
+//     upgrade only if the cache stored the flight's Tier-1 entry.
+//     Coalesced waiters never schedule. The upgrade does NOT run
+//     inside the flight — it Puts its result directly, and the
+//     plancache's upgrade-only replacement refuses any late Tier-1
+//     insert after a Tier-2 plan landed.
+//   - Admission: a Tier-1 entry weighs what keeping it will cost, the
+//     budget its upgrade runs under (upgradeUnits), so cost-aware
+//     admission decides which greedy plans are worth upgrading. A
+//     refused entry is still served to its requester but costs no
+//     upgrade.
 //   - Determinism: the upgrade optimizes the canonical query under the
 //     configured seed and the upgrade budget, exactly like the
 //     synchronous path — the Tier-2 plan is the same pure function of
@@ -129,19 +137,29 @@ func (t *tierOrchestrator) fillStatus(ts *TierStatus) {
 }
 
 // compute is the tiered cache-miss path, run inside the cache's
-// singleflight. It answers with a greedy plan when the escalation rule
-// permits, scheduling the background upgrade; otherwise it falls
-// through to the synchronous full-search path.
+// singleflight. It answers with a greedy plan, weighted at its
+// upgrade's budget, when the escalation rule permits; otherwise it
+// falls through to the synchronous full-search path. The upgrade is
+// scheduled after admission, by upgradeIfKept.
 func (t *tierOrchestrator) compute(ctx context.Context, fp fingerprint.Fingerprint, cq *catalog.Query, weight int64) (*plancache.Entry, error) {
 	res, err := t.greedyPlan(cq)
 	if err == nil && !greedy.Escalate(res.TotalCost, t.threshold) {
-		pl := res.ToPlan()
 		t.tier1Served.Add(1)
-		t.scheduleUpgrade(fp, cq, pl.Order(), res.TotalCost)
-		return &plancache.Entry{Fingerprint: fp, Plan: pl, BudgetUsed: res.Work, Tier: plancache.TierGreedy}, nil
+		return &plancache.Entry{Fingerprint: fp, Plan: res.ToPlan(), BudgetUsed: t.upgradeUnits(len(cq.Relations)), Tier: plancache.TierGreedy}, nil
 	}
 	t.escalations.Add(1)
 	return t.srv.optimize(ctx, fp, cq, weight)
+}
+
+// upgradeUnits is the work-unit budget of a background upgrade of a
+// query with rels relations. It is also the admission weight of the
+// Tier-1 entry that upgrade replaces, so the two cannot drift.
+func (t *tierOrchestrator) upgradeUnits(rels int) int64 {
+	n := rels - 1
+	if n < 1 {
+		n = 1
+	}
+	return cost.UnitsFor(t.srv.cfg.UpgradeTCoeff, n)
 }
 
 // greedyPlan builds and runs the Tier-1 planner behind a recover
@@ -162,8 +180,22 @@ func (t *tierOrchestrator) greedyPlan(cq *catalog.Query) (res *greedy.Result, er
 	return p.Plan(), nil
 }
 
+// upgradeIfKept schedules the background upgrade of e, the Tier-1
+// entry a miss's flight just produced, if the cache still holds that
+// very entry: an entry admission refused, or one already replaced or
+// evicted, is never upgraded. q and order are the requester's query
+// and its canonical order; the canonical relabeling is rebuilt here,
+// off the hit path.
+func (t *tierOrchestrator) upgradeIfKept(e *plancache.Entry, q *catalog.Query, order []catalog.RelID) {
+	if cur, ok := t.srv.cache.Peek(e.Fingerprint); !ok || cur != e {
+		return
+	}
+	t.scheduleUpgrade(e.Fingerprint, fingerprint.Relabel(q, order), e.Plan.Order(), e.Plan.TotalCost)
+}
+
 // scheduleUpgrade queues a background Tier-2 upgrade for fp, deduping
-// against one already pending and bounding the backlog.
+// against one already pending and bounding the backlog. The upgrade
+// takes ownership of cq.
 func (t *tierOrchestrator) scheduleUpgrade(fp fingerprint.Fingerprint, cq *catalog.Query, incumbent plan.Perm, greedyCost float64) {
 	t.mu.Lock()
 	if t.stopped {
@@ -184,13 +216,13 @@ func (t *tierOrchestrator) scheduleUpgrade(fp fingerprint.Fingerprint, cq *catal
 	t.wg.Add(1)
 	t.mu.Unlock()
 	t.upStarted.Add(1)
-	go t.upgrade(fp, cq.Clone(), incumbent, greedyCost)
+	go t.upgrade(fp, cq, incumbent, greedyCost)
 }
 
 // upgrade runs the full anytime search for fp and, if the result is
 // healthy, lands it in the cache; the plancache's upgrade-only
-// replacement makes the insert safe against the still-finishing greedy
-// flight.
+// replacement keeps any later Tier-1 insert of the shape (an arc push,
+// a warm start) from displacing it.
 func (t *tierOrchestrator) upgrade(fp fingerprint.Fingerprint, cq *catalog.Query, incumbent plan.Perm, greedyCost float64) {
 	defer t.wg.Done()
 	defer func() {
@@ -215,17 +247,14 @@ func (t *tierOrchestrator) upgrade(fp fingerprint.Fingerprint, cq *catalog.Query
 	defer func() { <-t.gate }()
 
 	cfg := &t.srv.cfg
-	n := len(cq.Relations) - 1
-	if n < 1 {
-		n = 1
-	}
-	budget := cost.NewBudget(cost.UnitsFor(cfg.UpgradeTCoeff, n))
+	budget := cost.NewBudget(t.upgradeUnits(len(cq.Relations)))
 	opt, err := core.NewOptimizer(cq, cfg.Model, budget, rand.New(rand.NewSource(cfg.Seed)), core.Options{Incumbent: incumbent})
 	if err != nil {
 		t.upFailed.Add(1)
 		return
 	}
 	pl, _ := opt.RunContext(t.ctx, cfg.Method)
+	t.srv.budgetUsedH.Observe(float64(budget.Used())) // nil-safe no-op when metrics are off
 	if pl == nil || pl.Degraded {
 		// Cancelled at drain, starved, or panicked: never replace a
 		// healthy Tier-1 plan with a degraded Tier-2 one.

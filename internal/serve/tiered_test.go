@@ -2,12 +2,21 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 
+	"joinopt/internal/catalog"
+	"joinopt/internal/cost"
+	"joinopt/internal/fingerprint"
+	"joinopt/internal/greedy"
 	"joinopt/internal/plancache"
+	"joinopt/internal/qfile"
+	"joinopt/internal/telemetry"
 	"joinopt/internal/workload"
 )
 
@@ -64,8 +73,14 @@ func TestTieredColdMissServesGreedyThenUpgrades(t *testing.T) {
 		if or2.Degraded {
 			t.Fatal("upgraded plan flagged degraded")
 		}
-		if or2.BudgetUsed <= or.BudgetUsed {
-			t.Fatalf("upgraded BudgetUsed %d not above greedy work %d", or2.BudgetUsed, or.BudgetUsed)
+		// A Tier-1 entry weighs the budget reserved for its upgrade, and
+		// the upgraded entry keeps the larger of that and what its
+		// search spent.
+		if want := cost.UnitsFor(s.cfg.UpgradeTCoeff, 20); or.BudgetUsed != want {
+			t.Fatalf("greedy BudgetUsed %d, want the upgrade budget %d", or.BudgetUsed, want)
+		}
+		if or2.BudgetUsed < or.BudgetUsed {
+			t.Fatalf("upgraded BudgetUsed %d below the Tier-1 weight %d", or2.BudgetUsed, or.BudgetUsed)
 		}
 
 		g, f := s.Cache().TierCounts()
@@ -169,6 +184,144 @@ func TestTieredBatch(t *testing.T) {
 	}
 }
 
+// TestTieredRefusedEntrySchedulesNoUpgrade: a Tier-1 entry that
+// cost-aware admission refuses is still served, but its upgrade never
+// runs, because the cache would not keep the result either.
+func TestTieredRefusedEntrySchedulesNoUpgrade(t *testing.T) {
+	cache := plancache.New(plancache.Config{Capacity: 1, Shards: 1, CostAware: true})
+	s, ts := newTestServer(t, Config{Tiered: true, CacheHandle: cache})
+	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
+	heavy := residentEntry(t, workload.Default().Generate(8, rand.New(rand.NewSource(3))),
+		2*cost.UnitsFor(s.cfg.UpgradeTCoeff, 20))
+	if !cache.Put(heavy) {
+		t.Fatal("resident entry refused")
+	}
+
+	_, or := postOptimize(t, ts.URL, queryBody(t, q))
+	if or.CacheHit || or.Tier != int(plancache.TierGreedy) {
+		t.Fatalf("cold miss: cacheHit %v tier %d, want a tier-1 miss", or.CacheHit, or.Tier)
+	}
+	checkValidOrder(t, or.Order, len(q.Relations))
+
+	s.WaitUpgrades()
+	st := statusz(t, ts.URL)
+	if st.Tiers.Tier1Served != 1 || st.Tiers.UpgradesStarted != 0 {
+		t.Fatalf("tier1Served/upgradesStarted = %d/%d, want 1/0", st.Tiers.Tier1Served, st.Tiers.UpgradesStarted)
+	}
+	if got, ok := cache.Peek(heavy.Fingerprint); !ok || got != heavy || cache.Len() != 1 {
+		t.Fatalf("resident entry changed: %+v (present %v, len %d)", got, ok, cache.Len())
+	}
+}
+
+// TestTieredAdmittedEntryUpgradesOnce: weighted at its upgrade's
+// budget, a Tier-1 entry displaces a lighter least-recent Tier-2 entry
+// (at its greedy work it could not), and its one upgrade lands.
+func TestTieredAdmittedEntryUpgradesOnce(t *testing.T) {
+	cache := plancache.New(plancache.Config{Capacity: 1, Shards: 1, CostAware: true})
+	s, ts := newTestServer(t, Config{Tiered: true, CacheHandle: cache})
+	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
+	body := queryBody(t, q)
+	weight := cost.UnitsFor(s.cfg.UpgradeTCoeff, 20)
+
+	_, _, cq := fingerprint.CanonicalQuery(q)
+	g, err := greedy.New(cq, s.cfg.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	light := residentEntry(t, workload.Default().Generate(8, rand.New(rand.NewSource(3))), weight-1)
+	if work := g.Plan().Work; work >= light.BudgetUsed {
+		t.Fatalf("greedy work %d already outweighs the resident's %d; the test needs a heavier resident", work, light.BudgetUsed)
+	}
+	if !cache.Put(light) {
+		t.Fatal("resident entry refused")
+	}
+
+	_, or := postOptimize(t, ts.URL, body)
+	if or.CacheHit || or.Tier != int(plancache.TierGreedy) {
+		t.Fatalf("cold miss: cacheHit %v tier %d, want a tier-1 miss", or.CacheHit, or.Tier)
+	}
+	if or.BudgetUsed != weight {
+		t.Fatalf("tier-1 BudgetUsed %d, want the upgrade budget %d", or.BudgetUsed, weight)
+	}
+	if _, ok := cache.Peek(light.Fingerprint); ok {
+		t.Fatal("the lighter resident entry was not displaced")
+	}
+
+	s.WaitUpgrades()
+	st := statusz(t, ts.URL)
+	if st.Tiers.UpgradesStarted != 1 || st.Tiers.UpgradesCompleted != 1 {
+		t.Fatalf("upgrades started/completed = %d/%d, want 1/1", st.Tiers.UpgradesStarted, st.Tiers.UpgradesCompleted)
+	}
+	_, or2 := postOptimize(t, ts.URL, body)
+	if !or2.CacheHit || or2.Tier != int(plancache.TierFull) {
+		t.Fatalf("after the upgrade: cacheHit %v tier %d, want a tier-2 hit", or2.CacheHit, or2.Tier)
+	}
+}
+
+// TestTieredConcurrentMissesScheduleOneUpgrade: concurrent requests
+// for one cold shape share one flight, and only its leader schedules
+// the upgrade; coalesced waiters and later hits never do.
+func TestTieredConcurrentMissesScheduleOneUpgrade(t *testing.T) {
+	s, ts := newTestServer(t, Config{Tiered: true})
+	q := workload.Default().Generate(25, rand.New(rand.NewSource(5)))
+
+	const clients = 16
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(q *catalog.Query) {
+			defer wg.Done()
+			resp, err := s.OptimizeQuery(context.Background(), q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(resp.Order) != len(q.Relations) {
+				t.Errorf("order covers %d relations, want %d", len(resp.Order), len(q.Relations))
+			}
+		}(q.Clone())
+	}
+	wg.Wait()
+	s.WaitUpgrades()
+
+	st := statusz(t, ts.URL)
+	if st.Cache.Misses != 1 || st.Tiers.Tier1Served != 1 {
+		t.Fatalf("misses/tier1Served = %d/%d, want 1/1", st.Cache.Misses, st.Tiers.Tier1Served)
+	}
+	if st.Tiers.UpgradesStarted != 1 || st.Tiers.UpgradesCompleted != 1 {
+		t.Fatalf("upgrades started/completed = %d/%d, want 1/1", st.Tiers.UpgradesStarted, st.Tiers.UpgradesCompleted)
+	}
+}
+
+// TestTieredUpgradeObservesBudgetHistogram: a background upgrade is an
+// optimizer run, so ljq_optimize_budget_used_units sees what it spent.
+func TestTieredUpgradeObservesBudgetHistogram(t *testing.T) {
+	s, ts := newTestServer(t, Config{Tiered: true, Metrics: telemetry.NewRegistry()})
+	q := workload.Default().Generate(12, rand.New(rand.NewSource(7)))
+	if _, or := postOptimize(t, ts.URL, queryBody(t, q)); or.Tier != int(plancache.TierGreedy) {
+		t.Fatalf("cold miss served tier %d, want %d", or.Tier, plancache.TierGreedy)
+	}
+	s.WaitUpgrades()
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		"ljq_tier_upgrades_completed_total 1",
+		"ljq_optimize_budget_used_units_count 1",
+	} {
+		if !bytes.Contains(buf.Bytes(), []byte(series)) {
+			t.Errorf("/metrics missing %q\n----\n%s", series, buf.String())
+		}
+	}
+}
+
 // TestUntieredStatuszTierComposition: without tiering, /statusz still
 // reports the cache's tier composition (full-search entries), with the
 // pipeline marked disabled.
@@ -201,4 +354,73 @@ func statusz(t *testing.T, base string) StatusResponse {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// BenchmarkOptimizeTieredMiss prices a tiered cold miss of the 20-join
+// smoke query end to end, together with the background upgrade it
+// schedules, if any: WaitUpgrades runs inside the timed region. Each op
+// starts from a fresh server. admitted misses into an empty cost-aware
+// cache; refused misses into a full one-entry shard whose resident
+// entry outweighs the Tier-1 entry, so admission refuses it and no
+// upgrade runs.
+func BenchmarkOptimizeTieredMiss(b *testing.B) {
+	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
+	var buf bytes.Buffer
+	if err := qfile.Write(&buf, q); err != nil {
+		b.Fatal(err)
+	}
+	body := buf.Bytes()
+	heavy := residentEntry(b, workload.Default().Generate(8, rand.New(rand.NewSource(3))), 1<<40)
+	for _, bc := range []struct {
+		name     string
+		resident *plancache.Entry
+	}{{"admitted", nil}, {"refused", heavy}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cache := plancache.New(plancache.Config{Capacity: 1, Shards: 1, CostAware: true})
+				if bc.resident != nil && !cache.Put(bc.resident) {
+					b.Fatal("resident entry refused")
+				}
+				s := New(Config{Tiered: true, CacheHandle: cache})
+				h := s.Handler()
+				b.StartTimer()
+				req := httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body))
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				s.WaitUpgrades()
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d", rec.Code)
+				}
+			}
+		})
+	}
+}
+
+// residentEntry builds a Tier-2 entry for q's canonical shape, weighted
+// at weight, to occupy a cache slot.
+func residentEntry(tb testing.TB, q *catalog.Query, weight int64) *plancache.Entry {
+	tb.Helper()
+	fp, _, cq := fingerprint.CanonicalQuery(q)
+	g, err := greedy.New(cq, cost.NewMemoryModel())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &plancache.Entry{Fingerprint: fp, Plan: g.Plan().ToPlan(), BudgetUsed: weight, Tier: plancache.TierFull}
+}
+
+// checkValidOrder fails unless order is a permutation of 0..n-1.
+func checkValidOrder(t *testing.T, order []int, n int) {
+	t.Helper()
+	seen := make([]bool, n)
+	for _, r := range order {
+		if r < 0 || r >= n || seen[r] {
+			t.Fatalf("order %v is not a permutation of %d relations", order, n)
+		}
+		seen[r] = true
+	}
+	if len(order) != n {
+		t.Fatalf("order covers %d relations, want %d", len(order), n)
+	}
 }
