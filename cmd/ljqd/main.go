@@ -27,10 +27,12 @@
 //	# operational status: cache + durability counters, in-flight work
 //	curl -s localhost:8080/statusz
 //
-//	# liveness vs readiness: /healthz (and /livez) answer 200 while
-//	# the process is up; /readyz answers 503 during journal replay
-//	# and while the limiter is shedding, so load balancers stop
-//	# routing to a recovering or overloaded daemon
+//	# liveness vs readiness: the listener opens only after recovery
+//	# and warm start, so until then every probe is refused. From then
+//	# on /healthz (and /livez) answer 200 while the process is up;
+//	# /readyz answers 503 while the limiter is shedding and once a
+//	# drain has begun, so load balancers stop routing to an
+//	# overloaded or stopping daemon
 //	curl -s localhost:8080/readyz
 //
 //	# Prometheus metrics (on by default; -metrics=false disables)

@@ -129,9 +129,6 @@ func BenchmarkWarmStartLoad(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cache := plancache.New(plancache.Config{Capacity: 512})
-		for _, e := range decoded {
-			cache.Warm(e)
-		}
+		plancache.New(plancache.Config{Capacity: 512}).WarmAll(decoded)
 	}
 }

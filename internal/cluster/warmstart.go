@@ -94,14 +94,8 @@ func WarmStart(ctx context.Context, cache *plancache.Cache, cfg WarmStartConfig)
 			res.Attempts = append(res.Attempts, DonorAttempt{Donor: donor, Err: err.Error()})
 			continue
 		}
-		warmed := 0
-		for _, e := range entries {
-			if cache.Warm(e) {
-				warmed++
-			}
-		}
 		res.Donor = donor
-		res.Entries = warmed
+		res.Entries = cache.WarmAll(entries)
 		res.Bytes = n
 		return res, nil
 	}

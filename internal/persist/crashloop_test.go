@@ -31,20 +31,41 @@ const (
 	crashSnapshotEvery  = 16
 )
 
+// cleanRestartAt is where the clean-directory history restarts: after
+// entry 23 it flushes, closes and reopens, as a graceful redeploy does.
+const cleanRestartAt = 24
+
 // runHistory drives the fixed history against a store opened over fs.
-// It returns the index of the last entry whose Append returned nil
-// (-1 if none) — the durable lower bound for recovery. Errors from the
-// injected crash are expected and swallowed; the history simply stops
-// acknowledging from the crash point on.
-func runHistory(fs vfs.FS) (lastDurable int) {
+// With restartAt > 0, the store is flushed, closed and reopened over
+// the clean directory before entry restartAt is appended. It returns
+// the index of the last entry whose Append returned nil (-1 if none) —
+// the durable lower bound for recovery. Errors from the injected crash
+// are expected and swallowed; the history simply stops acknowledging
+// from the crash point on.
+func runHistory(fs vfs.FS, restartAt int) (lastDurable int) {
 	lastDurable = -1
 	store, _, _, err := Open(Options{Dir: "cache", FS: fs})
 	if err != nil {
 		return -1 // crashed during Open: nothing acknowledged
 	}
-	defer store.Close()
+	defer func() {
+		if store != nil { // nil when the reopen crashed
+			_ = store.Close()
+		}
+	}()
 	all := make([]*plancache.Entry, 0, crashHistoryEntries)
 	for i := 0; i < crashHistoryEntries; i++ {
+		if restartAt > 0 && i == restartAt {
+			if err := store.Snapshot(all); err != nil {
+				return lastDurable
+			}
+			if err := store.Close(); err != nil {
+				return lastDurable
+			}
+			if store, _, _, err = Open(Options{Dir: "cache", FS: fs}); err != nil {
+				return lastDurable
+			}
+		}
 		e := testEntry(i)
 		all = append(all, e)
 		if _, err := store.Append(e); err != nil {
@@ -112,7 +133,7 @@ func TestCrashLoopEveryOpIndex(t *testing.T) {
 	// Clean run: measure the history length in mutating ops.
 	cleanMem := vfs.NewMem()
 	counter := faultinject.NewFaultFS(cleanMem, faultinject.FSConfig{})
-	if last := runHistory(counter); last != crashHistoryEntries-1 {
+	if last := runHistory(counter, 0); last != crashHistoryEntries-1 {
 		t.Fatalf("clean run acknowledged %d entries, want %d", last+1, crashHistoryEntries)
 	}
 	totalOps := counter.Ops()
@@ -120,14 +141,20 @@ func TestCrashLoopEveryOpIndex(t *testing.T) {
 		t.Fatalf("history is %d mutating ops, want >= 200 (grow crashHistoryEntries)", totalOps)
 	}
 	t.Logf("history: %d entries, %d mutating ops, snapshot every %d", crashHistoryEntries, totalOps, crashSnapshotEvery)
+	crashEveryOp(t, totalOps, 0)
+}
 
+// crashEveryOp crashes the history at each mutating-operation index in
+// turn, reboots, and asserts the recovered prefix.
+func crashEveryOp(t *testing.T, totalOps int64, restartAt int) {
+	t.Helper()
 	for crashOp := int64(1); crashOp <= totalOps; crashOp++ {
 		mem := vfs.NewMem()
 		ffs := faultinject.NewFaultFS(mem, faultinject.FSConfig{
 			Seed:      crashOp, // distinct torn-write fractions per point
 			CrashAtOp: crashOp,
 		})
-		lastDurable := runHistory(ffs)
+		lastDurable := runHistory(ffs, restartAt)
 		if !ffs.Crashed() {
 			t.Fatalf("crash at op %d never fired (history only %d ops this run)", crashOp, ffs.Ops())
 		}
@@ -135,6 +162,26 @@ func TestCrashLoopEveryOpIndex(t *testing.T) {
 		got := recoverAll(t, mem)
 		assertPrefix(t, got, lastDurable, crashOp)
 	}
+}
+
+// TestCrashLoopFromCleanDirectory runs the crash loop over a history
+// that flushes, closes and reopens the clean directory partway (the
+// reopen writes nothing), so a crash lands at every operation before,
+// during and after the reopen. Every acknowledged append — those after
+// the clean reopen included — must survive.
+func TestCrashLoopFromCleanDirectory(t *testing.T) {
+	plain := faultinject.NewFaultFS(vfs.NewMem(), faultinject.FSConfig{})
+	runHistory(plain, 0)
+	counter := faultinject.NewFaultFS(vfs.NewMem(), faultinject.FSConfig{})
+	if last := runHistory(counter, cleanRestartAt); last != crashHistoryEntries-1 {
+		t.Fatalf("clean run acknowledged %d entries, want %d", last+1, crashHistoryEntries)
+	}
+	// The restart adds one flush (11 operations) and one clean Open (4);
+	// a compacting Open would add 13.
+	if got, want := counter.Ops(), plain.Ops()+11+4; got != want {
+		t.Fatalf("history with a clean restart is %d ops, want %d", got, want)
+	}
+	crashEveryOp(t, counter.Ops(), cleanRestartAt)
 }
 
 // TestCrashLoopNoSyncStillPrefix re-runs a sampled crash loop with

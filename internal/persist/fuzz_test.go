@@ -4,19 +4,20 @@ import (
 	"bytes"
 	"testing"
 
-	"joinopt/internal/plancache"
 	"joinopt/internal/vfs"
 )
 
 // FuzzJournalReplay throws arbitrary bytes at the journal decode path
-// and asserts the three recovery invariants:
+// and asserts the recovery invariants:
 //
 //  1. replay never panics (the decoder is fully bounds-checked);
 //  2. replay never admits a record whose checksum does not verify
 //     (every emitted entry re-encodes to a frame that passes the CRC —
 //     a corrupt-but-lucky payload cannot masquerade as a plan);
 //  3. replay terminates and accounts for every byte: records consumed
-//     plus tornBytes equals the input length.
+//     plus tornBytes equals the input length;
+//  4. replay, and replay split over three workers, give exactly the
+//     single front-to-back pass's output (replaySeq).
 //
 // The corpus seeds cover the honest cases (valid frames, torn tails,
 // flipped bits) so the fuzzer starts near the interesting boundaries.
@@ -38,14 +39,19 @@ func FuzzJournalReplay(f *testing.F) {
 	// Seed: absurd length prefix.
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 	f.Add([]byte{})
+	// Seed: a CRC-valid record declaring 1<<20 relations and carrying
+	// none.
+	f.Add(hugePermRecord())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var emitted []*plancache.Entry
-		recs, discarded, torn := replay(data, func(e *plancache.Entry) {
-			emitted = append(emitted, e)
-		})
-		if recs != len(emitted) {
-			t.Fatalf("replay reported %d records but emitted %d entries", recs, len(emitted))
+		want := oracleReplay(data)
+		emitted, discarded, torn := replay(nil, data)
+		if d := diffReplay(replayResult{emitted, discarded, torn}, want); d != "" {
+			t.Fatalf("replay vs oracle: %s", d)
+		}
+		split, sd, st := replayOn(nil, data, fixedWorkers(3))
+		if d := diffReplay(replayResult{split, sd, st}, want); d != "" {
+			t.Fatalf("replay on 3 workers vs oracle: %s", d)
 		}
 		if discarded < 0 || torn < 0 || torn > len(data) {
 			t.Fatalf("nonsense accounting: discarded=%d torn=%d len=%d", discarded, torn, len(data))
@@ -78,7 +84,8 @@ func FuzzJournalReplay(f *testing.F) {
 // FuzzOpenRecovery drives the full Open path (header check included)
 // over fuzzer-controlled journal bytes: Open must never panic, and
 // must either refuse loudly (schema/magic mismatch) or recover a cache
-// whose every entry round-trips bit-exactly.
+// whose every entry round-trips bit-exactly — exactly the entries and
+// counts the single front-to-back pass (replaySeq) finds.
 func FuzzOpenRecovery(f *testing.F) {
 	valid := encodeHeader(magicJournal)
 	for i := 0; i < 2; i++ {
@@ -94,9 +101,24 @@ func FuzzOpenRecovery(f *testing.F) {
 		fw, _ := fs.Create("cache/plans.journal")
 		_, _ = fw.Write(data)
 		_ = fw.Close()
-		store, entries, _, err := Open(Options{Dir: "cache", FS: fs})
+		store, entries, stats, err := Open(Options{Dir: "cache", FS: fs})
+		ok, herr := checkHeader(data, magicJournal)
+		if (err != nil) != (herr != nil) {
+			t.Fatalf("Open error %v, header check error %v", err, herr)
+		}
 		if err != nil {
 			return // loud refusal is a valid outcome
+		}
+		want := replayResult{tornBytes: len(data)}
+		if ok {
+			want = oracleReplay(data[headerLen:])
+		}
+		got := replayResult{entries, stats.Discarded, stats.TornBytes}
+		if d := diffReplay(got, want); d != "" {
+			t.Fatalf("Open vs oracle: %s", d)
+		}
+		if stats.JournalRecords != len(want.entries) || stats.SnapshotRecords != 0 || stats.TornHeader == ok {
+			t.Fatalf("stats %+v for %d oracle records, valid header %v", stats, len(want.entries), ok)
 		}
 		for _, e := range entries {
 			got, derr := decodeEntry(encodeEntry(e))

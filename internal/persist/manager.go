@@ -67,20 +67,14 @@ func NewManager(store *Store, cache *plancache.Cache, compactEvery int) *Manager
 	return &Manager{store: store, cache: cache, compactEvery: compactEvery}
 }
 
-// Recover warms the cache with recovered entries (in replay order, so
-// journal records supersede snapshot records per key) and retains the
-// recovery stats. Returns how many entries the cache accepted. Call
-// before Bind — warming after the hook is installed would re-journal
-// every entry.
+// Recover warms the cache with recovered entries (through
+// Cache.WarmAll, which keeps replay order per shard, so journal records
+// supersede snapshot records per key) and retains the recovery stats.
+// Returns how many entries the cache accepted. Call before Bind —
+// warming after the hook is installed would re-journal every entry.
 func (m *Manager) Recover(entries []*plancache.Entry, st RecoveryStats) int {
 	m.recovery = st
-	warmed := 0
-	for _, e := range entries {
-		if m.cache.Warm(e) {
-			warmed++
-		}
-	}
-	return warmed
+	return m.cache.WarmAll(entries)
 }
 
 // Bind installs the journal hook on the cache. Admissions after Bind

@@ -12,7 +12,10 @@
 //   - startup recovery that loads the snapshot, replays the journal
 //     on top, tolerates torn tails and corrupt records by truncating
 //     at the first bad checksum (a corrupt plan is never admitted),
-//     and refuses mismatched schema versions loudly.
+//     and refuses mismatched schema versions loudly. Records are
+//     checksummed and decoded on every CPU, and the directory is
+//     compacted only when there is something to fold: the clean state
+//     a graceful shutdown leaves is reopened without a write.
 //
 // All I/O goes through the internal/vfs seam, so the crash-loop tests
 // drive recovery through faultinject.FaultFS at every operation index
@@ -108,9 +111,14 @@ type Store struct {
 // recovery: the snapshot is loaded, the journal is replayed on top,
 // and the surviving entries are returned in replay order (snapshot
 // records first, then journal records; later records for the same
-// fingerprint supersede earlier ones when warmed into a cache).
+// fingerprint supersede earlier ones when warmed into a cache). A large
+// file's records are checksummed and decoded on every CPU.
 //
-// After recovery the store is compacted: the recovered state is
+// A clean directory — a journal with a valid header and no records,
+// and no torn or discarded bytes in either file, which is what every
+// graceful shutdown leaves — is reopened without writing: one
+// directory fsync makes the previous process's renames durable before
+// new appends land. Anything else is compacted: the recovered state is
 // rewritten as a fresh snapshot and the journal is reset, so a torn
 // tail from the previous crash can never sit underneath new appends.
 //
@@ -135,38 +143,41 @@ func Open(opts Options) (*Store, []*plancache.Entry, RecoveryStats, error) {
 
 	var st RecoveryStats
 	var entries []*plancache.Entry
-	load := func(name string, magic [4]byte) (int, error) {
+	// load replays one file onto entries and reports whether the file
+	// was there with a valid header.
+	load := func(name string, magic [4]byte) (records int, found bool, err error) {
 		data, err := opts.FS.ReadFile(filepath.Join(opts.Dir, name))
 		if os.IsNotExist(err) {
-			return 0, nil
+			return 0, false, nil
 		}
 		if err != nil {
-			return 0, fmt.Errorf("persist: read %s: %w", name, err)
+			return 0, false, fmt.Errorf("persist: read %s: %w", name, err)
 		}
 		ok, err := checkHeader(data, magic)
 		if err != nil {
-			return 0, fmt.Errorf("persist: %s: %w", name, err)
+			return 0, false, fmt.Errorf("persist: %s: %w", name, err)
 		}
 		if !ok {
 			st.TornHeader = true
 			if len(data) > 0 {
 				st.TornBytes += len(data)
 			}
-			return 0, nil
+			return 0, false, nil
 		}
-		recs, disc, torn := replay(data[headerLen:], func(e *plancache.Entry) {
-			entries = append(entries, e)
-		})
+		before := len(entries)
+		var disc, torn int
+		entries, disc, torn = replay(entries, data[headerLen:])
 		st.Discarded += disc
 		st.TornBytes += torn
-		return recs, nil
+		return len(entries) - before, true, nil
 	}
 
 	var err error
-	if st.SnapshotRecords, err = load(snapshotName, magicSnapshot); err != nil {
+	if st.SnapshotRecords, _, err = load(snapshotName, magicSnapshot); err != nil {
 		return nil, nil, st, err
 	}
-	if st.JournalRecords, err = load(journalName, magicJournal); err != nil {
+	var journalFound bool
+	if st.JournalRecords, journalFound, err = load(journalName, magicJournal); err != nil {
 		return nil, nil, st, err
 	}
 
@@ -180,6 +191,13 @@ func Open(opts Options) (*Store, []*plancache.Entry, RecoveryStats, error) {
 	}
 	st.Recovered = len(seen)
 
+	if journalFound && st.JournalRecords == 0 && !st.TornHeader && st.TornBytes == 0 && st.Discarded == 0 {
+		// Clean: compaction would rewrite exactly the bytes on disk.
+		if err := s.openJournalLocked(); err != nil {
+			return nil, nil, st, err
+		}
+		return s, entries, st, nil
+	}
 	// Post-recovery compaction: fold the recovered state into a fresh
 	// snapshot and an empty journal. This guarantees appends never land
 	// after a torn tail, and bounds the next recovery's replay work.
@@ -305,14 +323,20 @@ func (s *Store) resetJournalLocked() error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("persist: close journal temp: %w", err)
 	}
-	journalPath := filepath.Join(s.dir, journalName)
-	if err := s.opts.FS.Rename(tmp, journalPath); err != nil {
+	if err := s.opts.FS.Rename(tmp, filepath.Join(s.dir, journalName)); err != nil {
 		return fmt.Errorf("persist: publish journal: %w", err)
 	}
+	return s.openJournalLocked()
+}
+
+// openJournalLocked fsyncs the cache directory, making every rename in
+// it durable before anything is appended, and opens the append handle
+// onto the journal.
+func (s *Store) openJournalLocked() error {
 	if err := s.opts.FS.SyncDir(s.dir); err != nil {
 		return fmt.Errorf("persist: sync cache dir: %w", err)
 	}
-	j, err := s.opts.FS.Append(journalPath)
+	j, err := s.opts.FS.Append(filepath.Join(s.dir, journalName))
 	if err != nil {
 		return fmt.Errorf("persist: reopen journal: %w", err)
 	}

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"joinopt/internal/catalog"
 	"joinopt/internal/fingerprint"
+	"joinopt/internal/parallel"
 	"joinopt/internal/plan"
 	"joinopt/internal/plancache"
 )
@@ -41,9 +43,9 @@ import (
 //	ncomp × { cost[8] (Float64bits); plen uvarint; plen × rel uvarint }
 //
 // Decoding is defensive: every length is bounds-checked against hard
-// caps before allocation, trailing bytes are an error, and no input —
-// truncated, bit-flipped, or adversarial — may panic (FuzzJournalReplay
-// enforces this).
+// caps and against the bytes left in the record before allocation,
+// trailing bytes are an error, and no input — truncated, bit-flipped,
+// or adversarial — may panic (FuzzJournalReplay enforces this).
 
 const (
 	headerLen = 12
@@ -63,6 +65,10 @@ const (
 	maxComponents = 1 << 16
 	maxPermLen    = 1 << 20
 	maxReasonLen  = 1 << 12
+
+	// minPayloadLen is the shortest record payload: every fixed field,
+	// an empty reason and zero components.
+	minPayloadLen = fingerprint.Size + 8 + 1 + 1 + 8 + 8 + 1
 )
 
 var (
@@ -204,16 +210,38 @@ func (d *decoder) uvarint(max uint64) (uint64, error) {
 	return v, nil
 }
 
+// count reads a length prefix of items that take at least minBytes each
+// and refuses one the rest of the payload cannot hold, so a hostile
+// prefix never sizes an allocation.
+func (d *decoder) count(max uint64, minBytes int) (int, error) {
+	n, err := d.uvarint(max)
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64((len(d.b)-d.off)/minBytes) {
+		return 0, errCorrupt
+	}
+	return int(n), nil
+}
+
+// decodedEntry is the storage of one decoded record: the entry, its
+// plan and its first component share one allocation, since most plans
+// have a single connected component. Permutations are allocated on
+// their own.
+type decodedEntry struct {
+	entry plancache.Entry
+	plan  plan.Plan
+	comp  [1]plan.Result
+}
+
 // decodeEntry parses one record payload. It never panics; any
 // malformed input returns errCorrupt.
 func decodeEntry(payload []byte) (*plancache.Entry, error) {
-	d := &decoder{b: payload}
+	d := decoder{b: payload}
 	fpb, err := d.bytes(fingerprint.Size)
 	if err != nil {
 		return nil, err
 	}
-	var fp fingerprint.Fingerprint
-	copy(fp[:], fpb)
 	bu, err := d.u64()
 	if err != nil {
 		return nil, err
@@ -238,27 +266,40 @@ func decodeEntry(payload []byte) (*plancache.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	ncomp, err := d.uvarint(maxComponents)
+	// A component takes at least 9 bytes: cost[8] and a 1-byte length.
+	ncomp, err := d.count(maxComponents, 9)
 	if err != nil {
 		return nil, err
 	}
-	pl := &plan.Plan{
-		TotalCost:     math.Float64frombits(total),
-		CrossCost:     math.Float64frombits(cross),
-		Degraded:      flagb[0]&1 != 0,
-		DegradeReason: string(reason),
+	rec := &decodedEntry{
+		entry: plancache.Entry{BudgetUsed: int64(bu), Tier: (flagb[0] >> 1) & 3},
+		plan: plan.Plan{
+			TotalCost:     math.Float64frombits(total),
+			CrossCost:     math.Float64frombits(cross),
+			Degraded:      flagb[0]&1 != 0,
+			DegradeReason: string(reason),
+		},
+	}
+	copy(rec.entry.Fingerprint[:], fpb)
+	rec.entry.Plan = &rec.plan
+	switch {
+	case ncomp == 1:
+		rec.plan.Components = rec.comp[:]
+	case ncomp > 1:
+		rec.plan.Components = make([]plan.Result, ncomp)
 	}
 	totalRels := 0
-	for i := uint64(0); i < ncomp; i++ {
+	for i := range rec.plan.Components {
 		costBits, err := d.u64()
 		if err != nil {
 			return nil, err
 		}
-		plen, err := d.uvarint(maxPermLen)
+		// A relation takes at least one byte.
+		plen, err := d.count(maxPermLen, 1)
 		if err != nil {
 			return nil, err
 		}
-		totalRels += int(plen)
+		totalRels += plen
 		if totalRels > maxPermLen {
 			return nil, errCorrupt
 		}
@@ -270,56 +311,101 @@ func decodeEntry(payload []byte) (*plancache.Entry, error) {
 			}
 			perm[j] = catalog.RelID(r)
 		}
-		pl.Components = append(pl.Components, plan.Result{Perm: perm, Cost: math.Float64frombits(costBits)})
+		rec.plan.Components[i] = plan.Result{Perm: perm, Cost: math.Float64frombits(costBits)}
 	}
 	if d.off != len(payload) {
 		return nil, errCorrupt // trailing garbage: reject the record
 	}
-	return &plancache.Entry{Fingerprint: fp, Plan: pl, BudgetUsed: int64(bu), Tier: (flagb[0] >> 1) & 3}, nil
+	return &rec.entry, nil
 }
 
-// replay walks the framed records after a validated header, calling
-// emit for each record that passes its checksum and decodes cleanly.
-// It stops — truncating the rest — at the first torn or corrupt
+// replay decodes the framed records after a validated header and
+// appends each record that passes its checksum and decodes cleanly to
+// dst. It stops — truncating the rest — at the first torn or corrupt
 // record. replay never fails: a damaged file yields the longest valid
-// prefix, per the recovery contract. records counts entries emitted,
-// discarded counts affirmatively-corrupt records hit (0 or 1: replay
-// stops at the first), and tornBytes counts every byte not consumed
-// as a valid record.
-func replay(data []byte, emit func(*plancache.Entry)) (records, discarded, tornBytes int) {
+// prefix, per the recovery contract. discarded counts
+// affirmatively-corrupt records hit (0 or 1: replay stops at the
+// first), and tornBytes counts every byte not consumed as a valid
+// record.
+//
+// The frame headers are walked first, on the calling goroutine; then
+// contiguous runs of frames are checksummed and decoded on
+// parallel.Workers(frames) workers. The result is the one a single
+// front-to-back pass gives: records past the first bad one are dropped
+// whichever worker decoded them.
+func replay(dst []*plancache.Entry, data []byte) (out []*plancache.Entry, discarded, tornBytes int) {
+	return replayOn(dst, data, parallel.Workers)
+}
+
+// replayOn is replay with the worker count chosen by workers(frames).
+func replayOn(dst []*plancache.Entry, data []byte, workers func(frames int) int) (out []*plancache.Entry, discarded, tornBytes int) {
+	offs, discarded, tornBytes := scanFrames(data)
+	n := len(offs)
+	base := len(dst)
+	out = slices.Grow(dst, n)[:base+n]
+	w := workers(n)
+	// firstBad[k] is the first frame of worker k's run that fails its
+	// checksum or decode, or the run's end if none does.
+	firstBad := make([]int, w)
+	parallel.Do(w, func(k int) {
+		lo, hi := k*n/w, (k+1)*n/w
+		firstBad[k] = hi
+		for i := lo; i < hi; i++ {
+			e, err := decodeFrame(data, offs[i])
+			if err != nil {
+				firstBad[k] = i
+				return
+			}
+			out[base+i] = e
+		}
+	})
+	for k, bad := range firstBad {
+		if bad < (k+1)*n/w {
+			// Bytes past a corrupt record have no trustworthy framing.
+			clear(out[base+bad:])
+			return out[:base+bad], 1, len(data) - offs[bad]
+		}
+	}
+	return out, discarded, tornBytes
+}
+
+// scanFrames walks the frame headers and returns the offset of every
+// complete frame, in order. It reads only the lengths: a torn frame
+// header or torn payload ends the walk with its bytes counted torn, and
+// a length over MaxRecordBytes ends it as one discarded record, since
+// everything from there on is untrustworthy.
+func scanFrames(data []byte) (offs []int, discarded, tornBytes int) {
+	// Every frame is at least a header and a minimal payload long.
+	offs = make([]int, 0, len(data)/(frameLen+minPayloadLen))
 	off := 0
 	for {
 		rest := len(data) - off
 		if rest == 0 {
-			return records, discarded, 0
+			return offs, 0, 0
 		}
 		if rest < frameLen {
-			return records, discarded, rest // torn frame header
+			return offs, 0, rest // torn frame header
 		}
 		length := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4 : off+8])
 		if length > MaxRecordBytes {
-			// A length prefix this large is corruption; everything from
-			// here on is untrustworthy.
-			return records, discarded + 1, rest
+			return offs, 1, rest
 		}
 		if rest < frameLen+length {
-			return records, discarded, rest // torn payload
+			return offs, 0, rest // torn payload
 		}
-		payload := data[off+frameLen : off+frameLen+length]
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			// First bad checksum: truncate here. Bytes past a corrupt
-			// record have no trustworthy framing.
-			return records, discarded + 1, rest
-		}
-		e, err := decodeEntry(payload)
-		if err != nil {
-			// Checksum fine but undecodable: a foreign or future record
-			// kind. Same policy — never admit, truncate the rest.
-			return records, discarded + 1, rest
-		}
-		emit(e)
-		records++
+		offs = append(offs, off)
 		off += frameLen + length
 	}
+}
+
+// decodeFrame checksums and decodes the complete frame at off. A bad
+// checksum and an undecodable payload (a foreign or future record
+// kind) are both corruption: never admitted.
+func decodeFrame(data []byte, off int) (*plancache.Entry, error) {
+	length := int(binary.LittleEndian.Uint32(data[off : off+4]))
+	payload := data[off+frameLen : off+frameLen+length]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
+		return nil, errCorrupt
+	}
+	return decodeEntry(payload)
 }

@@ -65,13 +65,10 @@ func DecodeSnapshotStrict(data []byte) ([]*plancache.Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: header checksum invalid", ErrTruncatedSnapshot)
 	}
-	var entries []*plancache.Entry
-	records, discarded, torn := replay(data[headerLen:], func(e *plancache.Entry) {
-		entries = append(entries, e)
-	})
+	entries, discarded, torn := replay(nil, data[headerLen:])
 	if discarded > 0 || torn > 0 {
 		return nil, fmt.Errorf("%w: %d valid records, then %d corrupt and %d torn bytes",
-			ErrTruncatedSnapshot, records, discarded, torn)
+			ErrTruncatedSnapshot, len(entries), discarded, torn)
 	}
 	return entries, nil
 }

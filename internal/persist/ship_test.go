@@ -1,7 +1,9 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"joinopt/internal/fingerprint"
@@ -138,5 +140,41 @@ func TestShipForeignMagicRefused(t *testing.T) {
 	}
 	if _, err := DecodeSnapshotStrict([]byte("HTTP/1.1 502 Bad Gateway\r\n\r\n")); err == nil {
 		t.Fatal("arbitrary bytes accepted as shipped snapshot")
+	}
+}
+
+// hugePermRecord is one CRC-valid framed record whose single component
+// declares maxPermLen relations and carries none.
+func hugePermRecord() []byte {
+	p := make([]byte, fingerprint.Size)        // fingerprint
+	p = binary.LittleEndian.AppendUint64(p, 1) // budgetUsed
+	p = append(p, 0)                           // flags
+	p = binary.AppendUvarint(p, 0)             // empty reason
+	p = binary.LittleEndian.AppendUint64(p, 0) // totalCost
+	p = binary.LittleEndian.AppendUint64(p, 0) // crossCost
+	p = binary.AppendUvarint(p, 1)             // one component
+	p = binary.LittleEndian.AppendUint64(p, 0) // its cost
+	p = binary.AppendUvarint(p, maxPermLen)    // its length, and nothing after
+	return appendFrame(nil, p)
+}
+
+// TestShipHugePermLengthRefusedWithoutAllocating pins that a 90-byte
+// shipped snapshot cannot make the decoder allocate for a million
+// relations: a length longer than the bytes left in the record is
+// refused before anything is allocated for it.
+func TestShipHugePermLengthRefusedWithoutAllocating(t *testing.T) {
+	data := append(encodeHeader(magicSnapshot), hugePermRecord()...)
+	if len(data) != 90 {
+		t.Fatalf("payload is %d bytes, want 90", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSnapshotStrict(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncatedSnapshot) {
+		t.Fatalf("err = %v, want ErrTruncatedSnapshot", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("decoding 90 bytes allocated %d bytes", grew)
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 
 	"joinopt/internal/fingerprint"
+	"joinopt/internal/parallel"
 	"joinopt/internal/plan"
 	"joinopt/internal/telemetry"
 )
@@ -230,10 +231,14 @@ func New(cfg Config) *Cache {
 
 //ljqlint:hotpath
 func (c *Cache) shardOf(k Key) *shard {
+	return &c.shards[c.shardIndex(k)]
+}
+
+//ljqlint:hotpath
+func (c *Cache) shardIndex(k Key) uint64 {
 	// The fingerprint is a cryptographic hash; its first bytes are
 	// uniformly distributed, so they select the shard directly.
-	idx := (uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 | uint64(k[3])<<24) & c.mask
-	return &c.shards[idx]
+	return (uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 | uint64(k[3])<<24) & c.mask
 }
 
 // Get returns the cached entry, if present, bumping its recency.
@@ -365,6 +370,15 @@ func (c *Cache) Put(e *Entry) bool {
 // never contains them, but a warmed entry must satisfy the same
 // invariants as an admitted one).
 func (c *Cache) Warm(e *Entry) bool {
+	if !c.warm(e) {
+		return false
+	}
+	c.warmed.Add(1)
+	return true
+}
+
+// warm is Warm without the Warmed count, which WarmAll adds once.
+func (c *Cache) warm(e *Entry) bool {
 	if e == nil || e.Plan == nil {
 		return false
 	}
@@ -376,10 +390,36 @@ func (c *Cache) Warm(e *Entry) bool {
 	s.mu.Lock()
 	stored, _ := c.insertLocked(s, e)
 	s.mu.Unlock()
-	if stored != nil {
-		c.warmed.Add(1)
-	}
 	return stored != nil
+}
+
+// WarmAll warms entries in slice order, as a loop of Warm would, and
+// returns how many the cache accepted. The work is split over
+// parallel.Workers(len(entries)) workers by shard: each worker warms,
+// in slice order, the entries whose shard it owns, so every shard sees
+// the insert sequence the sequential loop gives it, and the contents,
+// LRU order, evictions and counters come out the same.
+func (c *Cache) WarmAll(entries []*Entry) int {
+	workers := min(parallel.Workers(len(entries)), len(c.shards))
+	warmed := make([]int, workers)
+	parallel.Do(workers, func(w int) {
+		n := 0
+		for _, e := range entries {
+			if e == nil || e.Plan == nil || c.shardIndex(e.Fingerprint)%uint64(workers) != uint64(w) {
+				continue
+			}
+			if c.warm(e) {
+				n++
+			}
+		}
+		warmed[w] = n
+	})
+	total := 0
+	for _, n := range warmed {
+		total += n
+	}
+	c.warmed.Add(uint64(total))
+	return total
 }
 
 // Dump returns a copy of the current entry set, sorted by fingerprint

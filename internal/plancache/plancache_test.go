@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"joinopt/internal/parallel"
 	"joinopt/internal/plan"
 )
 
@@ -509,5 +511,104 @@ func TestWarmConcurrentWithLiveGets(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Entries != keys {
 		t.Fatalf("entries = %d, want %d", st.Entries, keys)
+	}
+}
+
+// lruOrder lists each shard's keys from most to least recently used.
+func lruOrder(c *Cache) [][]Key {
+	out := make([][]Key, len(c.shards))
+	for i := range c.shards {
+		s := &c.shards[i]
+		for n := s.head.next; n != &s.head; n = n.next {
+			out[i] = append(out[i], n.entry.Fingerprint)
+		}
+	}
+	return out
+}
+
+// TestWarmAllMatchesSequentialWarm pins WarmAll to a loop of Warm:
+// the same count, contents, per-shard LRU order, tier composition and
+// counters, over input with duplicate keys across tiers, degraded and
+// nil entries, and more distinct keys than a cost-aware cache holds.
+func TestWarmAllMatchesSequentialWarm(t *testing.T) {
+	const n = 3 * parallel.MinPerWorker
+	entries := make([]*Entry, n)
+	for i := range entries {
+		k := i % 5000
+		if i%4 == 3 {
+			k = (i - 1) % 5000 // the previous key again, at another tier
+		}
+		switch {
+		case i%101 == 0:
+			continue // nil entry
+		case i%103 == 0:
+			entries[i] = &Entry{Fingerprint: key(k)} // no plan
+			continue
+		}
+		e := tierEntry(k, int64(10+i%7), uint8(i%3))
+		if i%37 == 0 {
+			e.Plan.Degraded = true
+		}
+		entries[i] = e
+	}
+	cfg := Config{Capacity: 2048, Shards: 16, CostAware: true}
+	for _, procs := range []int{2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			seq := New(cfg)
+			wantWarmed := 0
+			for _, e := range entries {
+				if seq.Warm(e) {
+					wantWarmed++
+				}
+			}
+			par := New(cfg)
+			var warmed int
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				if w := parallel.Workers(n); w < 2 {
+					t.Fatalf("parallel.Workers(%d) = %d, want at least 2", n, w)
+				}
+				warmed = par.WarmAll(entries)
+			}()
+			if warmed != wantWarmed {
+				t.Fatalf("WarmAll warmed %d, the Warm loop %d", warmed, wantWarmed)
+			}
+			if got, want := par.Stats(), seq.Stats(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Stats = %+v, want %+v", got, want)
+			}
+			if st := par.Stats(); st.Evictions == 0 || st.Rejected == 0 || st.TierRejected == 0 {
+				t.Fatalf("input exercised too little: %+v", st)
+			}
+			g1, f1 := par.TierCounts()
+			g2, f2 := seq.TierCounts()
+			if g1 != g2 || f1 != f2 {
+				t.Fatalf("TierCounts = %d/%d, want %d/%d", g1, f1, g2, f2)
+			}
+			got, want := par.Dump(), seq.Dump()
+			if len(got) != len(want) {
+				t.Fatalf("Dump holds %d entries, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if *got[i] != *want[i] {
+					t.Fatalf("Dump entry %d = %+v, want %+v", i, *got[i], *want[i])
+				}
+			}
+			if fmt.Sprint(lruOrder(par)) != fmt.Sprint(lruOrder(seq)) {
+				t.Fatal("per-shard LRU order differs from the Warm loop's")
+			}
+		})
+	}
+}
+
+// TestWarmAllSmallInputWarmsInline pins the below-threshold path: the
+// same result as Warm, with no worker started.
+func TestWarmAllSmallInputWarmsInline(t *testing.T) {
+	c := New(Config{Capacity: 64, Shards: 4})
+	entries := []*Entry{entry(1, 10), nil, entry(2, 10), entry(1, 20)}
+	if got := c.WarmAll(entries); got != 3 {
+		t.Fatalf("WarmAll = %d, want 3", got)
+	}
+	if st := c.Stats(); st.Warmed != 3 || st.Entries != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

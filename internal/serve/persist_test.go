@@ -67,7 +67,7 @@ func TestRetryAfterRoundsUp(t *testing.T) {
 
 // TestLivenessVsReadiness pins the health-split contract: liveness
 // answers 200 while the process runs; readiness flips with SetReady
-// (journal replay, drain) without touching liveness.
+// (RunDaemon lowers it when a drain begins) without touching liveness.
 func TestLivenessVsReadiness(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	get := func(path string) int {
@@ -97,7 +97,7 @@ func TestLivenessVsReadiness(t *testing.T) {
 
 	s.SetReady(true)
 	if code := get("/readyz"); code != http.StatusOK {
-		t.Fatalf("GET /readyz = %d after recovery, want 200", code)
+		t.Fatalf("GET /readyz = %d after SetReady(true), want 200", code)
 	}
 }
 

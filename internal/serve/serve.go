@@ -23,10 +23,12 @@
 //     durability counters and uptime as JSON.
 //   - GET /healthz, /livez: 200 ok (load-balancer liveness: the
 //     process is up and serving HTTP).
-//   - GET /readyz: readiness. 503 while startup recovery (journal
-//     replay) is still in progress and for a short window after the
-//     limiter sheds a request — a recovering or overloaded daemon
-//     should stop receiving new traffic without being killed.
+//   - GET /readyz: readiness. 503 while the readiness latch is down
+//     (SetReady) and for a short window after the limiter sheds a
+//     request — an overloaded or draining daemon should stop receiving
+//     new traffic without being killed. cmd/ljqd opens its listener
+//     only after recovery and warm start, so during startup every
+//     probe is refused; it lowers the latch when a drain begins.
 //
 // Durability: with Config.Persist set, every admitted plan is
 // journaled through internal/persist and the cache is snapshotted
@@ -213,9 +215,9 @@ type Server struct {
 	arcRejected  atomic.Uint64 // arc pushes refused (bad method/payload/size)
 	arcPushBytes atomic.Uint64 // payload bytes accepted via /snapshot/arc
 
-	// notReady is the readiness latch: nonzero while journal replay
-	// (or any other startup work) is still in progress. Inverted so
-	// the zero value of Server-built-by-New is "ready".
+	// notReady is the readiness latch: set while the server should
+	// take no new traffic (RunDaemon sets it when a drain begins).
+	// Inverted so the zero value of Server-built-by-New is "ready".
 	notReady atomic.Bool
 	// lastShedNano is the wall-clock of the most recent limiter shed;
 	// /readyz answers 503 within ReadinessShedWindow of it.
@@ -285,9 +287,10 @@ func New(cfg Config) *Server {
 // Cache exposes the plan cache (tests, expvar wiring).
 func (s *Server) Cache() *plancache.Cache { return s.cache }
 
-// SetReady flips the readiness latch. The daemon holds readiness false
-// while startup recovery (journal replay) runs; /readyz answers 503
-// until it is set true. Liveness (/healthz, /livez) is unaffected.
+// SetReady flips the readiness latch: /readyz answers 503 while it is
+// false. RunDaemon sets it false when a drain begins; an embedder that
+// serves before its own startup work is done can hold it false
+// meanwhile. Liveness (/healthz, /livez) is unaffected.
 func (s *Server) SetReady(ready bool) { s.notReady.Store(!ready) }
 
 // Flush writes a compacting snapshot of the cache through the
@@ -326,7 +329,7 @@ func (s *Server) handleLiveness(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadiness answers 503 while the daemon should not receive new
-// traffic: startup recovery still replaying the plan journal, or the
+// traffic: the readiness latch is down (a drain has begun), or the
 // limiter shed a request within ReadinessShedWindow (an overloaded
 // daemon wants less traffic, not a restart — that distinction is the
 // point of the liveness/readiness split).
@@ -334,7 +337,7 @@ func (s *Server) handleReadiness(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.notReady.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "recovering: journal replay in progress")
+		fmt.Fprintln(w, "not ready")
 		return
 	}
 	if last := s.lastShedNano.Load(); last != 0 {
@@ -712,12 +715,7 @@ func (s *Server) handleSnapshotArc(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("decode payload: %v", err), http.StatusBadRequest)
 		return
 	}
-	resp := ArcPushResponse{Received: len(entries)}
-	for _, e := range entries {
-		if s.cache.Warm(e) {
-			resp.Warmed++
-		}
-	}
+	resp := ArcPushResponse{Received: len(entries), Warmed: s.cache.WarmAll(entries)}
 	s.arcPushes.Add(1)
 	s.arcEntries.Add(uint64(resp.Warmed))
 	s.arcPushBytes.Add(uint64(len(data)))
