@@ -120,11 +120,12 @@ func Of(q *catalog.Query) Fingerprint {
 // relation order: order[i] is the original RelID placed at canonical
 // position i. The order is what lets a cached plan (stored in
 // canonical coordinates) be translated into any isomorphic query's
-// labeling. q is not mutated. The returned order is freshly allocated;
-// use Hasher.Canonical with a reused buffer to avoid even that.
+// labeling. q is not mutated. The returned order is freshly allocated,
+// at its final size; use Hasher.Canonical with a reused buffer to avoid
+// even that one allocation.
 func Canonical(q *catalog.Query) (Fingerprint, []catalog.RelID) {
 	h := hasherPool.Get().(*Hasher)
-	f, order := h.Canonical(q, nil)
+	f, order := h.Canonical(q, make([]catalog.RelID, 0, len(q.Relations)))
 	h.release()
 	hasherPool.Put(h)
 	return f, order

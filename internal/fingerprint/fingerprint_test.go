@@ -245,6 +245,22 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestCanonicalAllocatesOnlyTheOrder: Canonical's one allocation is
+// the order it returns, sized once.
+func TestCanonicalAllocatesOnlyTheOrder(t *testing.T) {
+	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
+	_, order := Canonical(q)
+	if len(order) != cap(order) || len(order) != len(q.Relations) {
+		t.Fatalf("order len %d cap %d, want both %d", len(order), cap(order), len(q.Relations))
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled Hashers at random")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Canonical(q) }); allocs != 1 {
+		t.Fatalf("Canonical allocated %v times, want 1", allocs)
+	}
+}
+
 func BenchmarkFingerprint20(b *testing.B) { benchFingerprint(b, 20) }
 func BenchmarkFingerprint60(b *testing.B) { benchFingerprint(b, 60) }
 

@@ -14,6 +14,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"joinopt/internal/analysis/invariant"
@@ -310,25 +311,54 @@ func (pl *Plan) Order() Perm {
 
 // Explain renders a human-readable description of the plan.
 func (pl *Plan) Explain(q *catalog.Query) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan: total cost %.6g\n", pl.TotalCost)
+	return string(pl.AppendExplain(nil, q, nil))
+}
+
+// AppendExplain appends Explain's rendering to dst, with the plan's
+// positions mapped through order: position p names q's relation
+// order[p]. A nil order is the identity. Costs print as %.6g does;
+// strconv's 'g' format at precision 6 is byte for byte the same.
+func (pl *Plan) AppendExplain(dst []byte, q *catalog.Query, order []catalog.RelID) []byte {
+	dst = append(dst, "plan: total cost "...)
+	dst = strconv.AppendFloat(dst, pl.TotalCost, 'g', 6, 64)
+	dst = append(dst, '\n')
 	if pl.Degraded {
-		fmt.Fprintf(&b, "  DEGRADED (%s): the optimizer could not complete normally; this is the fallback plan\n", pl.DegradeReason)
+		dst = append(dst, "  DEGRADED ("...)
+		dst = append(dst, pl.DegradeReason...)
+		dst = append(dst, "): the optimizer could not complete normally; this is the fallback plan\n"...)
 	}
 	for i, c := range pl.Components {
-		fmt.Fprintf(&b, "  component %d (cost %.6g): ", i, c.Cost)
+		dst = append(dst, "  component "...)
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = append(dst, " (cost "...)
+		dst = strconv.AppendFloat(dst, c.Cost, 'g', 6, 64)
+		dst = append(dst, "): "...)
 		for j, r := range c.Perm {
 			if j > 0 {
-				b.WriteString(" ⋈ ")
+				dst = append(dst, " ⋈ "...)
 			}
-			b.WriteString(q.RelationName(r))
+			if order != nil {
+				r = order[r]
+			}
+			dst = AppendRelationName(dst, q, r)
 		}
-		b.WriteByte('\n')
+		dst = append(dst, '\n')
 	}
 	if len(pl.Components) > 1 {
-		fmt.Fprintf(&b, "  cross products: cost %.6g\n", pl.CrossCost)
+		dst = append(dst, "  cross products: cost "...)
+		dst = strconv.AppendFloat(dst, pl.CrossCost, 'g', 6, 64)
+		dst = append(dst, '\n')
 	}
-	return b.String()
+	return dst
+}
+
+// AppendRelationName appends q.RelationName(id) to dst without
+// building the "R<id>" fallback as a string.
+func AppendRelationName(dst []byte, q *catalog.Query, id catalog.RelID) []byte {
+	if int(id) < len(q.Relations) && q.Relations[id].Name != "" {
+		return append(dst, q.Relations[id].Name...)
+	}
+	return strconv.AppendInt(append(dst, 'R'), int64(id), 10)
 }
 
 // Assemble combines per-component optimized results into a full plan,

@@ -310,8 +310,7 @@ func (c *Cache) EvictWhere(pred func(Key) bool) int {
 			}
 		}
 		for _, n := range victims {
-			s.remove(n)
-			delete(s.items, n.entry.Fingerprint)
+			s.drop(n)
 		}
 		s.mu.Unlock()
 		evicted += len(victims)
@@ -399,7 +398,13 @@ func (c *Cache) warm(e *Entry) bool {
 // in slice order, the entries whose shard it owns, so every shard sees
 // the insert sequence the sequential loop gives it, and the contents,
 // LRU order, evictions and counters come out the same.
+//
+// An empty shard's map is first replaced by one sized for the entries
+// headed its way (at most the shard's capacity), so recovery does not
+// rehash it as it grows; a shard already holding entries is left as
+// it is.
 func (c *Cache) WarmAll(entries []*Entry) int {
+	c.presize(entries)
 	workers := min(parallel.Workers(len(entries)), len(c.shards))
 	warmed := make([]int, workers)
 	parallel.Do(workers, func(w int) {
@@ -420,6 +425,27 @@ func (c *Cache) WarmAll(entries []*Entry) int {
 	}
 	c.warmed.Add(uint64(total))
 	return total
+}
+
+// presize gives each empty shard a map sized for its share of entries.
+func (c *Cache) presize(entries []*Entry) {
+	counts := make([]int, len(c.shards))
+	for _, e := range entries {
+		if e != nil && e.Plan != nil {
+			counts[c.shardIndex(e.Fingerprint)]++
+		}
+	}
+	for i, n := range counts {
+		if n == 0 {
+			continue
+		}
+		s := &c.shards[i]
+		s.mu.Lock()
+		if len(s.items) == 0 {
+			s.items = make(map[Key]*node, min(n, c.perShard))
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Dump returns a copy of the current entry set, sorted by fingerprint
@@ -467,15 +493,15 @@ func (c *Cache) insertLocked(s *shard, e *Entry) (stored, victim *Entry) {
 			if n.entry.BudgetUsed > e.BudgetUsed {
 				e = &Entry{Fingerprint: e.Fingerprint, Plan: e.Plan, BudgetUsed: n.entry.BudgetUsed, Tier: e.Tier}
 			}
-			n.entry = e
+			s.replace(n, e)
 		case e.BudgetUsed > n.entry.BudgetUsed:
 			// Same tier, refresh in place: a newer optimization of the
 			// same shape replaces the old plan (keep the larger budget
 			// weight).
-			n.entry = e
+			s.replace(n, e)
 		default:
 			old := n.entry
-			n.entry = &Entry{Fingerprint: old.Fingerprint, Plan: e.Plan, BudgetUsed: old.BudgetUsed, Tier: old.Tier}
+			s.replace(n, &Entry{Fingerprint: old.Fingerprint, Plan: e.Plan, BudgetUsed: old.BudgetUsed, Tier: old.Tier})
 		}
 		s.moveFront(n)
 		return n.entry, nil
@@ -486,14 +512,11 @@ func (c *Cache) insertLocked(s *shard, e *Entry) (stored, victim *Entry) {
 			c.rejected.Add(1)
 			return nil, nil
 		}
-		s.remove(v)
-		delete(s.items, v.entry.Fingerprint)
+		s.drop(v)
 		c.evictions.Add(1)
 		victim = v.entry
 	}
-	n := &node{entry: e}
-	s.items[e.Fingerprint] = n
-	s.pushFront(n)
+	s.insert(&node{entry: e})
 	return e, victim
 }
 
@@ -595,19 +618,14 @@ func (c *Cache) wait(ctx context.Context, fl *flight, shared bool) (*Entry, bool
 // TierCounts reports the cache's tier composition: how many resident
 // entries hold greedy (Tier-1) plans awaiting upgrade versus
 // full-search plans (Tier-2; legacy untagged entries count as full —
-// see TierRank).
+// see TierRank). It sums counts the shards keep as entries come and
+// go, so it holds each shard's lock only to read two numbers.
 func (c *Cache) TierCounts() (greedy, full int) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		//ljqlint:allow detrand -- counting by tier is iteration-order independent
-		for _, n := range s.items {
-			if TierRank(n.entry.Tier) == TierGreedy {
-				greedy++
-			} else {
-				full++
-			}
-		}
+		greedy += s.greedy
+		full += len(s.items) - s.greedy
 		s.mu.Unlock()
 	}
 	return greedy, full
@@ -705,12 +723,14 @@ type node struct {
 }
 
 // shard is one lock domain: an LRU list (sentinel ring), its index,
-// and the in-flight table.
+// and the in-flight table. Entries enter, change and leave only
+// through insert, replace and drop, which keep greedy in step.
 type shard struct {
 	mu      sync.Mutex
 	items   map[Key]*node
 	flights map[Key]*flight
 	head    node // sentinel: head.next = most recent, head.prev = LRU
+	greedy  int  // resident entries holding Tier-1 plans
 }
 
 func (s *shard) init() {
@@ -718,6 +738,34 @@ func (s *shard) init() {
 	s.flights = make(map[Key]*flight)
 	s.head.next = &s.head
 	s.head.prev = &s.head
+}
+
+// insert indexes n and links it as the most recent entry.
+func (s *shard) insert(n *node) {
+	s.items[n.entry.Fingerprint] = n
+	s.pushFront(n)
+	s.greedy += greedyCount(n.entry)
+}
+
+// replace swaps the entry n holds for e, under the same key.
+func (s *shard) replace(n *node, e *Entry) {
+	s.greedy += greedyCount(e) - greedyCount(n.entry)
+	n.entry = e
+}
+
+// drop unlinks n and removes it from the index.
+func (s *shard) drop(n *node) {
+	s.remove(n)
+	delete(s.items, n.entry.Fingerprint)
+	s.greedy -= greedyCount(n.entry)
+}
+
+// greedyCount is what e adds to its shard's greedy count.
+func greedyCount(e *Entry) int {
+	if TierRank(e.Tier) == TierGreedy {
+		return 1
+	}
+	return 0
 }
 
 func (s *shard) pushFront(n *node) {

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -610,5 +612,158 @@ func TestWarmAllSmallInputWarmsInline(t *testing.T) {
 	}
 	if st := c.Stats(); st.Warmed != 3 || st.Entries != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// scanTierCounts is TierCounts by a full scan of every shard.
+func scanTierCounts(c *Cache) (greedy, full int) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for _, n := range s.items {
+			if TierRank(n.entry.Tier) == TierGreedy {
+				greedy++
+			} else {
+				full++
+			}
+		}
+		s.mu.Unlock()
+	}
+	return greedy, full
+}
+
+// TestTierCountsMatchFullScan drives random mixes of every way an
+// entry enters, changes tier or leaves — Put, Warm, WarmAll,
+// GetOrCompute, tier upgrades and refused downgrades, cost-aware
+// refusals, capacity evictions and EvictWhere — and checks the kept
+// counts against a full scan after each step.
+func TestTierCountsMatchFullScan(t *testing.T) {
+	for _, shards := range []int{1, 4, 16} {
+		for _, costAware := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/costAware=%v", shards, costAware), func(t *testing.T) {
+				c := New(Config{Capacity: 4 * shards, Shards: shards, CostAware: costAware, AdmissionScan: 2})
+				rng := rand.New(rand.NewSource(int64(shards)))
+				random := func() *Entry {
+					e := tierEntry(rng.Intn(12*shards), int64(1+rng.Intn(50)), uint8(rng.Intn(3)))
+					e.Plan.Degraded = rng.Intn(10) == 0
+					return e
+				}
+				for step := 0; step < 2000; step++ {
+					switch op := rng.Intn(7); op {
+					case 0, 1:
+						c.Put(random())
+					case 2:
+						c.Warm(random())
+					case 3:
+						batch := make([]*Entry, rng.Intn(8))
+						for i := range batch {
+							batch[i] = random()
+						}
+						c.WarmAll(batch)
+					case 4:
+						e := random()
+						if _, _, _, err := c.GetOrCompute(context.Background(), e.Fingerprint, func(context.Context) (*Entry, error) {
+							return e, nil
+						}); err != nil {
+							t.Fatal(err)
+						}
+					case 5:
+						mod := 2 + rng.Intn(5)
+						c.EvictWhere(func(k Key) bool { return int(k[0])%mod == 0 })
+					case 6:
+						// Upgrade a resident greedy entry, or try a downgrade.
+						i := rng.Intn(12 * shards)
+						c.Put(tierEntry(i, int64(1+rng.Intn(50)), TierFull))
+						c.Put(tierEntry(i, int64(1+rng.Intn(50)), TierGreedy))
+					}
+					g, f := c.TierCounts()
+					wg, wf := scanTierCounts(c)
+					if g != wg || f != wf {
+						t.Fatalf("step %d: TierCounts = %d/%d, a full scan finds %d/%d", step, g, f, wg, wf)
+					}
+				}
+				if st := c.Stats(); st.Evictions == 0 || st.Rejected == 0 || st.TierRejected == 0 || st.TargetedEvictions == 0 {
+					t.Fatalf("the mix exercised too little: %+v", st)
+				}
+			})
+		}
+	}
+}
+
+// TestTierCountsConcurrent reads TierCounts while other goroutines
+// insert, upgrade and evict; run it under -race.
+func TestTierCountsConcurrent(t *testing.T) {
+	c := New(Config{Capacity: 64, Shards: 4})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := (w*500 + i) % 200
+				c.Put(tierEntry(k, 10, TierGreedy))
+				c.Put(tierEntry(k, 20, TierFull))
+				if i%50 == 0 {
+					c.EvictWhere(func(k Key) bool { return k[0]%3 == 0 })
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if g, f := c.TierCounts(); g < 0 || f < 0 || g+f > 64 {
+			t.Fatalf("TierCounts = %d/%d in a 64-entry cache", g, f)
+		}
+	}
+	g, f := c.TierCounts()
+	if wg, wf := scanTierCounts(c); g != wg || f != wf {
+		t.Fatalf("TierCounts = %d/%d, a full scan finds %d/%d", g, f, wg, wf)
+	}
+}
+
+// TestWarmAllPresizesOnlyEmptyShards: WarmAll swaps an empty shard's
+// map for a sized one and leaves a populated shard's map in place.
+func TestWarmAllPresizesOnlyEmptyShards(t *testing.T) {
+	c := New(Config{Capacity: 64, Shards: 2})
+	resident := entry(0, 10)
+	c.Put(resident)
+	busy := c.shardIndex(resident.Fingerprint)
+	before := reflect.ValueOf(c.shards[busy].items).UnsafePointer()
+	var entries []*Entry
+	for i := 1; i < 40; i++ {
+		entries = append(entries, entry(i, 10))
+	}
+	if got := c.WarmAll(entries); got != len(entries) {
+		t.Fatalf("WarmAll = %d, want %d", got, len(entries))
+	}
+	if after := reflect.ValueOf(c.shards[busy].items).UnsafePointer(); after != before {
+		t.Fatal("WarmAll replaced the map of a shard holding entries")
+	}
+	if _, ok := c.Peek(resident.Fingerprint); !ok {
+		t.Fatal("the resident entry is gone")
+	}
+}
+
+// BenchmarkWarmAll1e5 warms 10^5 entries into an empty 131072-entry,
+// 16-shard cache: restart-1e5's recovery shape.
+func BenchmarkWarmAll1e5(b *testing.B) {
+	entries := make([]*Entry, 100000)
+	for i := range entries {
+		entries[i] = entry(i, 10)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := New(Config{Capacity: 131072})
+		b.StartTimer()
+		if n := c.WarmAll(entries); n != len(entries) {
+			b.Fatalf("WarmAll = %d, want %d", n, len(entries))
+		}
 	}
 }

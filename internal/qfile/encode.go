@@ -1,10 +1,10 @@
 package qfile
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
+	"unicode/utf8"
 
 	"joinopt/internal/catalog"
 )
@@ -32,7 +32,7 @@ func Append(dst []byte, q *catalog.Query) ([]byte, error) {
 			w.b = append(w.b, '{')
 			if r.Name != "" {
 				w.key(3, "name")
-				w.b = appendString(w.b, r.Name)
+				w.b = AppendString(w.b, r.Name)
 				w.b = append(w.b, ',')
 			}
 			w.key(3, "cardinality")
@@ -156,9 +156,8 @@ func (w *writer) hist(name string, h *catalog.Histogram) {
 	w.close(3, '}')
 }
 
-// float writes f as encoding/json does: the shortest representation
-// that round-trips, in exponent form below 1e-6 and from 1e21 up, with
-// a one-digit exponent kept unpadded.
+// float writes f as encoding/json does, and like encoding/json keeps a
+// NaN or infinite f out, recording the first in err.
 func (w *writer) float(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		if w.err == nil {
@@ -166,33 +165,85 @@ func (w *writer) float(f float64) {
 		}
 		return
 	}
+	w.b = AppendFloat(w.b, f)
+}
+
+// AppendFloat appends the finite f as encoding/json writes a float64:
+// the shortest representation that round-trips, in exponent form below
+// 1e-6 and from 1e21 up, with a one-digit exponent kept unpadded.
+// encoding/json refuses a NaN or infinite value, so callers check for
+// one first.
+func AppendFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
 	if format == 'e' {
 		// e-07 → e-7
-		n := len(w.b)
-		if n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-			w.b[n-2] = w.b[n-1]
-			w.b = w.b[:n-1]
+		n := len(dst)
+		if n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
 		}
 	}
+	return dst
 }
 
-// appendString quotes s. Printable ASCII other than the characters
-// encoding/json escapes ('"', '\\', '<', '>', '&') is copied as is;
-// any other string is quoted by encoding/json itself.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(dst, quoted...)
-		}
-	}
+// AppendString appends s quoted as a JSON string, byte for byte as
+// encoding/json quotes it with HTML escaping on (its default):
+// '"' and '\\' escaped with a backslash; \b, \f, \n, \r and \t as
+// short escapes; other control characters and '<', '>' and '&' as
+// \u00XX; U+2028 and U+2029 as \u2028 and \u2029; each byte of
+// invalid UTF-8 as \ufffd. Everything else is copied as is.
+func AppendString[S ~string | ~[]byte](dst []byte, s S) []byte {
+	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
-	dst = append(dst, s...)
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		// At most utf8.UTFMax bytes are converted, so a []byte s is
+		// decoded from a stack copy.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }

@@ -2,6 +2,7 @@ package qfile
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -123,4 +124,29 @@ func checkAppend(t *testing.T, q *catalog.Query) {
 	if !reflect.DeepEqual(back, q) {
 		t.Fatalf("round trip changed the query:\n got %+v\nwant %+v", back, q)
 	}
+}
+
+// FuzzAppendString checks AppendString against json.Marshal, which
+// escapes HTML by default, on arbitrary strings, and checks that the
+// string and []byte forms agree.
+func FuzzAppendString(f *testing.F) {
+	for _, s := range []string{
+		"", "plain", `a"b\c`, "<&>", "\b\f\n\r\t\x00\x1f\x7f",
+		"café ⋈ 日本", "  ", "bad \xff\xfe utf8", "\xed\xa0\x80", "trunc \xe2\x8b",
+		"plan: total cost 1.5e+06\n  component 0 (cost 12): R0 ⋈ R1\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendString([]byte("x"), s); !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Fatalf("AppendString(%q) = %s, encoding/json writes %s", s, got, want)
+		}
+		if got := AppendString(nil, []byte(s)); !bytes.Equal(got, want) {
+			t.Fatalf("AppendString([]byte(%q)) = %s, encoding/json writes %s", s, got, want)
+		}
+	})
 }

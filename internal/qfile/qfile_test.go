@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -359,5 +360,23 @@ func TestWritePlan(t *testing.T) {
 	}
 	if steps[0].(map[string]any)["method"].(string) == "" {
 		t.Fatal("step method missing")
+	}
+}
+
+// TestAppendFloatMatchesEncodingJSON pins AppendFloat to encoding/json
+// at the edges of its format switch and of float64 itself.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 1e-6, 9.99999e-7, 1e-7, -1e-7, 123456789,
+		1e20, 1e21, -1e21, 1.5e300, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		2.2250738585072014e-308, 1.0 / 3, 18000, 1.2345678901234567e8,
+	} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("AppendFloat(%v) = %s, encoding/json writes %s", f, got, want)
+		}
 	}
 }

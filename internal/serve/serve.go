@@ -488,7 +488,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp, err := s.OptimizeQuery(r.Context(), q)
+	// OptimizeQuery's path, minus the envelope: the response is written
+	// straight from the entry. Errors are plain text in either codec —
+	// a client that cannot read them has bigger problems than framing.
+	fp, order := fingerprint.Canonical(q)
+	entry, hit, shared, err := s.computeEntry(r.Context(), fp, q, order)
 	if err != nil {
 		status, msg, retryAfter := s.optimizeFailure(err)
 		if retryAfter > 0 {
@@ -497,16 +501,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, msg, status)
 		return
 	}
-	w.Header().Set("X-Plan-Tier", planTierHeader(resp.Tier))
-	// Response codec is negotiated independently of the request codec:
-	// Accept picks binary, everything else stays JSON. Errors above are
-	// always plain text regardless — a client that cannot read them has
-	// bigger problems than framing.
-	if strings.Contains(r.Header.Get("Accept"), wireSubtype) {
-		writeWire(w, http.StatusOK, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	respond(w, r, &answer{q: q, order: order, fp: fp, entry: entry, hit: hit, shared: shared})
 }
 
 // wireSubtype is the distinctive part of wire.ContentType that request
@@ -563,20 +558,24 @@ func (s *Server) OptimizeQuery(ctx context.Context, q *catalog.Query) (*Optimize
 }
 
 // computeEntry resolves a canonical fingerprint to a plan entry —
-// cache hit, coalesced wait, or fresh optimizer run — under the
-// service's request deadline. q stays in the requester's coordinates;
-// the canonical relabeling is built lazily on the miss path only.
-// A flight's leader that produced a Tier-1 entry schedules its
-// background upgrade here, after admission and before the response is
-// written, so only entries the cache kept are upgraded.
+// cache hit, coalesced wait, or fresh optimizer run. q stays in the
+// requester's coordinates; the canonical relabeling is built lazily on
+// the miss path only. Only a flight's leader arms the service's
+// request deadline, inside the flight: a hit needs none, and a
+// coalesced waiter waits on its own context and on the flight, which
+// resolves by the leader's deadline — earlier than the waiter's own
+// would have ended. A flight's leader that produced a Tier-1 entry
+// schedules its background upgrade here, after admission and before
+// the response is written, so only entries the cache kept are
+// upgraded.
 func (s *Server) computeEntry(ctx context.Context, fp fingerprint.Fingerprint, q *catalog.Query, order []catalog.RelID) (entry *plancache.Entry, hit, shared bool, err error) {
 	weight := int64(len(q.Relations) - 1)
 	if weight < 1 {
 		weight = 1
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
 	entry, hit, shared, err = s.cache.GetOrCompute(ctx, fp, func(ctx context.Context) (*plancache.Entry, error) {
+		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
 		cq := fingerprint.Relabel(q, order)
 		if s.tiers != nil {
 			return s.tiers.compute(ctx, fp, cq, weight)
@@ -599,7 +598,10 @@ func (s *Server) computeEntry(ctx context.Context, fp fingerprint.Fingerprint, q
 // the requester's own relation numbering and wraps it in the response
 // envelope. Two differently-labeled queries of the same shape share a
 // fingerprint and an entry but get different orders and names — the
-// translation must use each requester's own canonical order.
+// translation must use each requester's own canonical order. The
+// /optimize handler writes the same envelope's bytes without building
+// it (answer); buildResponse serves the in-process callers and batch
+// items.
 func buildResponse(q *catalog.Query, order []catalog.RelID, fp fingerprint.Fingerprint, entry *plancache.Entry, hit, shared bool) *OptimizeResponse {
 	pl := translatePlan(entry.Plan, order)
 	tier := int(plancache.TierRank(entry.Tier))
@@ -788,7 +790,10 @@ func translatePlan(pl *plan.Plan, order []catalog.RelID) *plan.Plan {
 // an oversized body surfaces as catalog.ErrTooLarge (→ 413), never as
 // a silently truncated parse.
 func decodeQuery(r *http.Request, maxBytes int64) (*catalog.Query, error) {
-	format := r.URL.Query().Get("format")
+	var format string
+	if r.URL.RawQuery != "" {
+		format = r.URL.Query().Get("format")
+	}
 	ct := r.Header.Get("Content-Type")
 	isDSL := format == "dsl" || strings.Contains(ct, "x-qdsl")
 	isWire := format == "wire" || strings.Contains(ct, wireSubtype)
@@ -864,43 +869,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(e.buf.Bytes())
 	if e.buf.Cap() <= jsonBufPoolCap {
 		jsonBufPool.Put(e)
-	}
-}
-
-// wireBufPool holds the binary response path's encode buffers; like
-// the JSON pool, a warm buffer makes a cache-hit response cost zero
-// encoder allocations and one sized Write.
-var wireBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-func writeWire(w http.ResponseWriter, status int, resp *OptimizeResponse) {
-	bp := wireBufPool.Get().(*[]byte)
-	wr := wire.Response{
-		Fingerprint:   resp.Fingerprint,
-		CacheHit:      resp.CacheHit,
-		Coalesced:     resp.Coalesced,
-		Degraded:      resp.Degraded,
-		DegradeReason: resp.DegradeReason,
-		BudgetUsed:    resp.BudgetUsed,
-		TotalCost:     resp.TotalCost,
-		Order:         resp.Order,
-		Names:         resp.Names,
-		Tier:          resp.Tier,
-		Explain:       resp.Explain,
-	}
-	buf := wire.AppendResponse((*bp)[:0], &wr)
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.WriteHeader(status)
-	// Write errors mean the client went away; nothing useful remains.
-	_, _ = w.Write(buf)
-	if cap(buf) <= jsonBufPoolCap {
-		*bp = buf
-		wireBufPool.Put(bp)
 	}
 }
 

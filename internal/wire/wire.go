@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"joinopt/internal/catalog"
 )
@@ -69,8 +70,7 @@ const (
 )
 
 // Response is the binary twin of serve.OptimizeResponse. The fields
-// mirror it one-for-one so the serving layer converts by plain field
-// copy; wire itself depends only on catalog.
+// mirror it one-for-one; wire itself depends only on catalog.
 type Response struct {
 	Fingerprint   string
 	CacheHit      bool
@@ -94,28 +94,56 @@ func IsFrame(data []byte) bool {
 
 // --- encoding ---------------------------------------------------------
 
-func appendHeader(dst []byte, kind byte) []byte {
+// StartFrame appends the header of a frame of the given kind to dst.
+// Append the payload with the Append* functions, in the layout above,
+// then call FinishFrame with base, the length of dst before StartFrame.
+// AppendQuery and AppendResponse are written this way; a writer that
+// holds a response's parts rather than a Response writes its frame the
+// same way.
+func StartFrame(dst []byte, kind byte) []byte {
 	dst = append(dst, magic...)
 	dst = append(dst, kind)
-	// Payload length is patched in by finishFrame.
+	// Payload length is patched in by FinishFrame.
 	return append(dst, 0, 0, 0, 0)
 }
 
-// finishFrame back-patches the payload length for the frame whose
+// FinishFrame back-patches the payload length for the frame whose
 // header starts at base.
-func finishFrame(dst []byte, base int) []byte {
+func FinishFrame(dst []byte, base int) []byte {
 	binary.LittleEndian.PutUint32(dst[base+len(magic)+1:], uint32(len(dst)-base-headerSize))
 	return dst
 }
 
-func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
-func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-func appendF64(dst []byte, v float64) []byte {
+// AppendU32 appends a u32 field.
+func AppendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
+
+// AppendU64 appends a u64 field.
+func AppendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
+
+// AppendF64 appends an f64 field: the float's IEEE 754 bits as a u64.
+func AppendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
-func appendStr(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
+
+// AppendStr appends a string field: its u32 length, then its bytes.
+func AppendStr[S ~string | ~[]byte](dst []byte, s S) []byte {
+	dst = AppendU32(dst, uint32(len(s)))
 	return append(dst, s...)
+}
+
+// ResponseFlags packs a response's flags byte.
+func ResponseFlags(cacheHit, coalesced, degraded bool) byte {
+	var flags byte
+	if cacheHit {
+		flags |= flagCacheHit
+	}
+	if coalesced {
+		flags |= flagCoalesced
+	}
+	if degraded {
+		flags |= flagDegraded
+	}
+	return flags
 }
 
 func appendHist(dst []byte, h *catalog.Histogram) []byte {
@@ -123,10 +151,10 @@ func appendHist(dst []byte, h *catalog.Histogram) []byte {
 		return append(dst, 0)
 	}
 	dst = append(dst, 1)
-	dst = appendU64(dst, uint64(h.Domain))
-	dst = appendU32(dst, uint32(len(h.Counts)))
+	dst = AppendU64(dst, uint64(h.Domain))
+	dst = AppendU32(dst, uint32(len(h.Counts)))
 	for _, c := range h.Counts {
-		dst = appendF64(dst, c)
+		dst = AppendF64(dst, c)
 	}
 	return dst
 }
@@ -135,29 +163,29 @@ func appendHist(dst []byte, h *catalog.Histogram) []byte {
 // extended slice. The append style lets callers reuse pooled buffers.
 func AppendQuery(dst []byte, q *catalog.Query) []byte {
 	base := len(dst)
-	dst = appendHeader(dst, KindQuery)
-	dst = appendU32(dst, uint32(len(q.Relations)))
+	dst = StartFrame(dst, KindQuery)
+	dst = AppendU32(dst, uint32(len(q.Relations)))
 	for i := range q.Relations {
 		rel := &q.Relations[i]
-		dst = appendStr(dst, rel.Name)
-		dst = appendU64(dst, uint64(rel.Cardinality))
-		dst = appendU32(dst, uint32(len(rel.Selections)))
+		dst = AppendStr(dst, rel.Name)
+		dst = AppendU64(dst, uint64(rel.Cardinality))
+		dst = AppendU32(dst, uint32(len(rel.Selections)))
 		for _, s := range rel.Selections {
-			dst = appendF64(dst, s.Selectivity)
+			dst = AppendF64(dst, s.Selectivity)
 		}
 	}
-	dst = appendU32(dst, uint32(len(q.Predicates)))
+	dst = AppendU32(dst, uint32(len(q.Predicates)))
 	for i := range q.Predicates {
 		p := &q.Predicates[i]
-		dst = appendU32(dst, uint32(p.Left))
-		dst = appendU32(dst, uint32(p.Right))
-		dst = appendF64(dst, p.LeftDistinct)
-		dst = appendF64(dst, p.RightDistinct)
-		dst = appendF64(dst, p.Selectivity)
+		dst = AppendU32(dst, uint32(p.Left))
+		dst = AppendU32(dst, uint32(p.Right))
+		dst = AppendF64(dst, p.LeftDistinct)
+		dst = AppendF64(dst, p.RightDistinct)
+		dst = AppendF64(dst, p.Selectivity)
 		dst = appendHist(dst, p.LeftHist)
 		dst = appendHist(dst, p.RightHist)
 	}
-	return finishFrame(dst, base)
+	return FinishFrame(dst, base)
 }
 
 // EncodeQuery returns a freshly allocated query frame.
@@ -166,33 +194,23 @@ func EncodeQuery(q *catalog.Query) []byte { return AppendQuery(nil, q) }
 // AppendResponse appends a complete response frame to dst.
 func AppendResponse(dst []byte, r *Response) []byte {
 	base := len(dst)
-	dst = appendHeader(dst, KindResponse)
-	dst = appendStr(dst, r.Fingerprint)
-	var flags byte
-	if r.CacheHit {
-		flags |= flagCacheHit
-	}
-	if r.Coalesced {
-		flags |= flagCoalesced
-	}
-	if r.Degraded {
-		flags |= flagDegraded
-	}
-	dst = append(dst, flags)
-	dst = appendStr(dst, r.DegradeReason)
-	dst = appendU64(dst, uint64(r.BudgetUsed))
-	dst = appendF64(dst, r.TotalCost)
-	dst = appendU32(dst, uint32(len(r.Order)))
+	dst = StartFrame(dst, KindResponse)
+	dst = AppendStr(dst, r.Fingerprint)
+	dst = append(dst, ResponseFlags(r.CacheHit, r.Coalesced, r.Degraded))
+	dst = AppendStr(dst, r.DegradeReason)
+	dst = AppendU64(dst, uint64(r.BudgetUsed))
+	dst = AppendF64(dst, r.TotalCost)
+	dst = AppendU32(dst, uint32(len(r.Order)))
 	for _, o := range r.Order {
-		dst = appendU32(dst, uint32(o))
+		dst = AppendU32(dst, uint32(o))
 	}
-	dst = appendU32(dst, uint32(len(r.Names)))
+	dst = AppendU32(dst, uint32(len(r.Names)))
 	for _, n := range r.Names {
-		dst = appendStr(dst, n)
+		dst = AppendStr(dst, n)
 	}
 	dst = append(dst, byte(r.Tier))
-	dst = appendStr(dst, r.Explain)
-	return finishFrame(dst, base)
+	dst = AppendStr(dst, r.Explain)
+	return FinishFrame(dst, base)
 }
 
 // EncodeResponse returns a freshly allocated response frame.
@@ -249,19 +267,23 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func (r *reader) str() string {
+// bytes reads a string field and returns its bytes, a slice of the
+// payload.
+func (r *reader) bytes() []byte {
 	n := r.u32()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if int64(n) > int64(r.remaining()) {
 		r.fail("string length %d exceeds %d remaining bytes", n, r.remaining())
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	return b
 }
+
+func (r *reader) str() string { return string(r.bytes()) }
 
 // count reads a u32 element count and rejects it when count·minSize
 // cannot fit in the remaining payload — the guard that keeps a hostile
@@ -276,28 +298,6 @@ func (r *reader) count(minSize int, what string) int {
 		return 0
 	}
 	return int(n)
-}
-
-func (r *reader) hist() *catalog.Histogram {
-	present := r.u8()
-	switch present {
-	case 0:
-		return nil
-	case 1:
-	default:
-		r.fail("histogram marker %d (want 0 or 1)", present)
-		return nil
-	}
-	h := &catalog.Histogram{Domain: int64(r.u64())}
-	n := r.count(8, "histogram bucket")
-	if r.err != nil {
-		return nil
-	}
-	h.Counts = make([]float64, n)
-	for i := range h.Counts {
-		h.Counts[i] = r.f64()
-	}
-	return h
 }
 
 // frame checks the envelope and returns the payload.
@@ -321,65 +321,204 @@ func frame(data []byte, kind byte) ([]byte, error) {
 
 // minimum encoded sizes, used for count-vs-remaining guards.
 const (
-	minRelationSize  = 4 + 8 + 4           // name len + cardinality + selection count
-	minPredicateSize = 4 + 4 + 3*8 + 1 + 1 // endpoints + three stats + two histogram markers
+	minRelationSize  = 4 + 8 + 4                   // name len + cardinality + selection count
+	minPredicateSize = predicateFieldsSize + 1 + 1 // plus two histogram markers
+
+	predicateFieldsSize = 4 + 4 + 3*8 // endpoints + three stats
 )
 
 // DecodeQuery parses a query frame, validates it with the same
 // structural rules the JSON path applies, and normalizes it (endpoint
 // ordering, derived selectivities). Decoding is therefore idempotent:
 // re-encoding the result and decoding again reproduces it exactly.
+//
+// The payload is read twice. The first pass checks every count and
+// length against the bytes that remain, sums what each lane of the
+// query holds and gathers the relation names; the second reads the
+// checked payload without checks into one allocation per lane in use
+// (query, relations, names, selections, predicates, histograms,
+// counts). Nested slices share their lane's backing array, capped so
+// an append by the caller copies instead of overwriting a neighbour.
 func DecodeQuery(data []byte) (*catalog.Query, error) {
 	payload, err := frame(data, KindQuery)
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: payload}
-	q := &catalog.Query{}
-	nrel := r.count(minRelationSize, "relation")
-	if r.err == nil && nrel > 0 {
-		q.Relations = make([]catalog.Relation, nrel)
+	l := lanesPool.Get().(*lanes)
+	var q *catalog.Query
+	if err = l.scan(payload); err == nil {
+		q = l.query(payload)
 	}
-	for i := 0; i < nrel && r.err == nil; i++ {
-		rel := &q.Relations[i]
-		rel.Name = r.str()
-		rel.Cardinality = int64(r.u64())
-		nsel := r.count(8, "selection")
-		if r.err != nil {
-			break
-		}
-		if nsel > 0 {
-			rel.Selections = make([]catalog.Selection, nsel)
-		}
-		for j := range rel.Selections {
-			rel.Selections[j].Selectivity = r.f64()
-		}
+	if cap(l.names) <= lanesPoolMaxNames {
+		lanesPool.Put(l)
 	}
-	npred := r.count(minPredicateSize, "predicate")
-	if r.err == nil && npred > 0 {
-		q.Predicates = make([]catalog.Predicate, npred)
-	}
-	for i := 0; i < npred && r.err == nil; i++ {
-		p := &q.Predicates[i]
-		p.Left = catalog.RelID(int32(r.u32()))
-		p.Right = catalog.RelID(int32(r.u32()))
-		p.LeftDistinct = r.f64()
-		p.RightDistinct = r.f64()
-		p.Selectivity = r.f64()
-		p.LeftHist = r.hist()
-		p.RightHist = r.hist()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrBadFrame, r.remaining())
+	if err != nil {
+		return nil, err
 	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	q.Normalize()
 	return q, nil
+}
+
+// lanes is what the first pass over a query payload learns: how many
+// elements each lane holds, and the relation names end to end.
+type lanes struct {
+	rels, sels, preds, hists, counts int
+	names                            []byte
+}
+
+// lanesPool recycles the names scratch, so a steady stream of queries
+// gathers names without allocating.
+var lanesPool = sync.Pool{New: func() any { return new(lanes) }}
+
+// lanesPoolMaxNames bounds the names scratch a pooled lanes keeps: one
+// query with huge names must not pin its scratch forever.
+const lanesPoolMaxNames = 1 << 16
+
+// scan is the checked pass. It reads the payload field by field as the
+// layout lays it out, so a malformed payload fails with the error, and
+// at the offset, of the first field that does not fit.
+func (l *lanes) scan(payload []byte) error {
+	*l = lanes{names: l.names[:0]}
+	r := &reader{b: payload}
+	l.rels = r.count(minRelationSize, "relation")
+	for i := 0; i < l.rels && r.err == nil; i++ {
+		l.names = append(l.names, r.bytes()...)
+		r.u64()
+		nsel := r.count(8, "selection")
+		r.off += 8 * nsel // count checked that the selections fit
+		l.sels += nsel
+	}
+	l.preds = r.count(minPredicateSize, "predicate")
+	for i := 0; i < l.preds && r.err == nil; i++ {
+		if r.remaining() >= predicateFieldsSize {
+			r.off += predicateFieldsSize
+		} else {
+			// Read field by field to fail at the one that does not fit.
+			r.u32()
+			r.u32()
+			r.u64()
+			r.u64()
+			r.u64()
+		}
+		l.hist(r)
+		l.hist(r)
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if r.remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrBadFrame, r.remaining())
+	}
+	return nil
+}
+
+func (l *lanes) hist(r *reader) {
+	switch present := r.u8(); present {
+	case 0:
+		return
+	case 1:
+	default:
+		r.fail("histogram marker %d (want 0 or 1)", present)
+		return
+	}
+	r.u64()
+	n := r.count(8, "histogram bucket")
+	r.off += 8 * n // count checked that the buckets fit
+	l.hists++
+	l.counts += n
+}
+
+// query is the unchecked pass over a payload scan accepted.
+func (l *lanes) query(payload []byte) *catalog.Query {
+	f := filler{b: payload, off: 4} // the relation count is l.rels
+	q := &catalog.Query{}
+	if l.rels > 0 {
+		names := string(l.names)
+		var sels []catalog.Selection
+		if l.sels > 0 {
+			sels = make([]catalog.Selection, l.sels)
+		}
+		q.Relations = make([]catalog.Relation, l.rels)
+		for i := range q.Relations {
+			rel := &q.Relations[i]
+			n := int(f.u32())
+			rel.Name, names = names[:n], names[n:]
+			f.off += n
+			rel.Cardinality = int64(f.u64())
+			if n := int(f.u32()); n > 0 {
+				rel.Selections, sels = sels[:n:n], sels[n:]
+				for j := range rel.Selections {
+					rel.Selections[j].Selectivity = f.f64()
+				}
+			}
+		}
+	}
+	f.off += 4 // the predicate count is l.preds
+	if l.preds > 0 {
+		if l.hists > 0 {
+			f.hists = make([]catalog.Histogram, l.hists)
+			f.counts = make([]float64, l.counts)
+		}
+		q.Predicates = make([]catalog.Predicate, l.preds)
+		for i := range q.Predicates {
+			p := &q.Predicates[i]
+			p.Left = catalog.RelID(int32(f.u32()))
+			p.Right = catalog.RelID(int32(f.u32()))
+			p.LeftDistinct = f.f64()
+			p.RightDistinct = f.f64()
+			p.Selectivity = f.f64()
+			p.LeftHist = f.hist()
+			p.RightHist = f.hist()
+		}
+	}
+	return q
+}
+
+// filler reads a payload scan accepted, filling the query's histograms
+// and counts from their lanes.
+type filler struct {
+	b      []byte
+	off    int
+	hists  []catalog.Histogram
+	counts []float64
+}
+
+func (f *filler) u8() byte {
+	v := f.b[f.off]
+	f.off++
+	return v
+}
+
+func (f *filler) u32() uint32 {
+	v := binary.LittleEndian.Uint32(f.b[f.off:])
+	f.off += 4
+	return v
+}
+
+func (f *filler) u64() uint64 {
+	v := binary.LittleEndian.Uint64(f.b[f.off:])
+	f.off += 8
+	return v
+}
+
+func (f *filler) f64() float64 { return math.Float64frombits(f.u64()) }
+
+func (f *filler) hist() *catalog.Histogram {
+	if f.u8() == 0 {
+		return nil
+	}
+	h := &f.hists[0]
+	f.hists = f.hists[1:]
+	h.Domain = int64(f.u64())
+	n := int(f.u32())
+	h.Counts, f.counts = f.counts[:n:n], f.counts[n:]
+	for i := range h.Counts {
+		h.Counts[i] = f.f64()
+	}
+	return h
 }
 
 // DecodeResponse parses a response frame. Unknown flag bits are
