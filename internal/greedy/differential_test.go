@@ -1,12 +1,17 @@
 package greedy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"joinopt/internal/catalog"
 	"joinopt/internal/dp"
+	"joinopt/internal/plan"
+	"joinopt/internal/testutil"
 	"joinopt/internal/workload"
 )
 
@@ -141,4 +146,126 @@ func TestEscalationFiresOnWorstShape(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("escalations fired = %d, want exactly 1 (the worst shape)", fired)
 	}
+}
+
+// TestDifferentialGreedyCostMatchesEvaluator pins Tier 1 to the one
+// estimator every other tier prices with: a greedy plan's TotalCost is
+// what plan.Evaluator.Cost charges for its order, bit for bit, on every
+// connected query, and what plan.Assemble totals over its components
+// on a disconnected one. The histogram case is the one a static
+// per-edge selectivity gets wrong even when no intermediate result
+// shrinks below a distinct count.
+func TestDifferentialGreedyCostMatchesEvaluator(t *testing.T) {
+	type tc struct {
+		name  string
+		q     *catalog.Query
+		comps int
+	}
+	var cases []tc
+	for n := 5; n <= 40; n += 5 {
+		for seed := int64(1); seed <= 3; seed++ {
+			cases = append(cases, tc{fmt.Sprintf("default/n=%d/seed=%d", n, seed),
+				workload.Default().Generate(n, rand.New(rand.NewSource(seed))), 1})
+		}
+	}
+	for _, sh := range workload.Shapes {
+		for _, n := range []int{6, 12, 20, 30} {
+			q, err := workload.Default().GenerateShape(sh, n, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				t.Fatalf("%s n=%d: generate: %v", sh, n, err)
+			}
+			cases = append(cases, tc{fmt.Sprintf("%s/n=%d", sh, n), q, 1})
+		}
+	}
+	cases = append(cases,
+		tc{"histograms", skewedHistogramQuery(), 1},
+		tc{"two-components", disjointUnion(
+			workload.Default().Generate(8, rand.New(rand.NewSource(11))),
+			workload.Default().Generate(12, rand.New(rand.NewSource(12)))), 2},
+		tc{"three-components", disjointUnion(
+			workload.Default().Generate(15, rand.New(rand.NewSource(21))),
+			disjointUnion(skewedHistogramQuery(),
+				workload.Default().Generate(5, rand.New(rand.NewSource(22))))), 3},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.q.Normalize()
+			p, err := New(c.q.Clone(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := p.Plan()
+			if len(res.Components) != c.comps {
+				t.Fatalf("%d components, want %d", len(res.Components), c.comps)
+			}
+			eval, _ := testutil.Eval(c.q)
+			for i, comp := range res.Components {
+				if got := eval.Cost(comp.Perm); math.Float64bits(got) != math.Float64bits(comp.Cost) {
+					t.Fatalf("component %d %v: greedy cost %g, evaluator %g", i, comp.Perm, comp.Cost, got)
+				}
+			}
+			if len(res.Components) == 1 {
+				if got := eval.Cost(res.Order); math.Float64bits(got) != math.Float64bits(res.TotalCost) {
+					t.Fatalf("greedy total %g, evaluator %g", res.TotalCost, got)
+				}
+				return
+			}
+			// Hand Assemble the components in graph order, so it has to
+			// find greedy's combination order itself.
+			byGraph := slices.Clone(res.Components)
+			sort.Slice(byGraph, func(i, j int) bool { return slices.Min(byGraph[i].Perm) < slices.Min(byGraph[j].Perm) })
+			pl := plan.Assemble(eval, byGraph)
+			if !slices.Equal(pl.Order(), res.Order) {
+				t.Fatalf("Assemble combined %v, greedy %v", pl.Order(), res.Order)
+			}
+			if math.Float64bits(pl.CrossCost) != math.Float64bits(res.CrossCost) ||
+				math.Float64bits(pl.TotalCost) != math.Float64bits(res.TotalCost) {
+				t.Fatalf("greedy cross/total %g/%g, Assemble %g/%g", res.CrossCost, res.TotalCost, pl.CrossCost, pl.TotalCost)
+			}
+		})
+	}
+}
+
+// skewedHistogramQuery is a four-relation chain whose join columns
+// carry aligned, skewed histograms: the estimator's histogram
+// selectivity is far from the 1/max(D) that Normalize stores in each
+// predicate's Selectivity.
+func skewedHistogramQuery() *catalog.Query {
+	hot := func(rows float64) *catalog.Histogram {
+		return &catalog.Histogram{Domain: 1000, Counts: []float64{rows * 0.9, rows * 0.05, rows * 0.03, rows * 0.02}}
+	}
+	flat := func(rows float64) *catalog.Histogram {
+		return &catalog.Histogram{Domain: 1000, Counts: []float64{rows / 4, rows / 4, rows / 4, rows / 4}}
+	}
+	return &catalog.Query{
+		Relations: []catalog.Relation{
+			{Name: "a", Cardinality: 200},
+			{Name: "b", Cardinality: 5000},
+			{Name: "c", Cardinality: 800},
+			{Name: "d", Cardinality: 30000},
+		},
+		Predicates: []catalog.Predicate{
+			{Left: 0, Right: 1, LeftDistinct: 150, RightDistinct: 900, LeftHist: hot(200), RightHist: hot(5000)},
+			{Left: 1, Right: 2, LeftDistinct: 900, RightDistinct: 600, LeftHist: flat(5000), RightHist: hot(800)},
+			{Left: 2, Right: 3, LeftDistinct: 600, RightDistinct: 1000, LeftHist: hot(800), RightHist: hot(30000)},
+		},
+	}
+}
+
+// disjointUnion returns a query holding a's and b's relations and
+// predicates side by side, b's renumbered after a's: one join-graph
+// component per component of a and of b.
+func disjointUnion(a, b *catalog.Query) *catalog.Query {
+	u := a.Clone()
+	off := catalog.RelID(len(u.Relations))
+	for _, r := range b.Clone().Relations {
+		r.Name = fmt.Sprintf("u%d_%s", off, r.Name)
+		u.Relations = append(u.Relations, r)
+	}
+	for _, p := range b.Clone().Predicates {
+		p.Left += off
+		p.Right += off
+		u.Predicates = append(u.Predicates, p)
+	}
+	return u
 }

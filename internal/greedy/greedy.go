@@ -1,18 +1,20 @@
 // Package greedy is the Tier-1 planner of the tiered serving ladder: a
-// statistics-light greedy join orderer that plans in microseconds and
-// allocates nothing per plan, so a cache miss can be answered
-// immediately while the full anytime search (internal/core) upgrades
-// the cached entry in the background.
+// greedy join orderer that plans in microseconds and allocates nothing
+// per plan, so a cache miss can be answered immediately while the full
+// anytime search (internal/core) upgrades the cached entry in the
+// background.
 //
 // The algorithm is the classic min-cost expansion over the join graph
 // (the "When Greedy Beats Optimal" recipe excerpted in SNIPPETS.md):
 // per connected component, start from the smallest relation and
 // repeatedly append the frontier-joinable relation whose next join is
-// cheapest under the cost model, using only static per-edge
-// selectivities and effective base cardinalities — no distinct-value
-// propagation, no histograms. Components are then concatenated
-// smallest-final-size-first with cross products priced between them,
-// matching plan.Assemble's postpone-cross-products order.
+// cheapest under the cost model. Joins are sized by estimate.Stats —
+// distinct-value propagation and histograms included — with the
+// arithmetic plan.Evaluator prices with, so a component's cost equals
+// the evaluator's cost of its order bit for bit. Components are then
+// concatenated smallest-final-size-first with cross products priced
+// between them and their costs summed in that order, matching
+// plan.Assemble's postpone-cross-products total.
 //
 // Determinism: the planner is a pure function of (query, model). Ties
 // are broken by the lowest canonical relation ID (candidates are
@@ -20,11 +22,12 @@
 // displaces the incumbent pick), so two runs over the same canonical
 // query produce byte-identical orders.
 //
-// Allocation discipline: New does all the allocating (CSR adjacency,
-// bitset frontier, scratch and result buffers); Plan is a
-// //ljqlint:hotpath function that reuses those buffers and returns a
-// pointer into the planner. The greedy-planner benchmarks carry
-// 0-allocs/op ceilings in ALLOC_BUDGETS.json.
+// Allocation discipline: New does all the allocating (join graph and
+// its CSR view, estimator statistics, bitset frontier, scratch and
+// result buffers); Plan is a //ljqlint:hotpath function that reuses
+// those buffers and returns a pointer into the planner.
+// BenchmarkGreedyPlan20 carries a 0-allocs/op ceiling in
+// ALLOC_BUDGETS.json.
 //
 // The package deliberately does not charge a cost.Budget: greedy work
 // is bounded by construction (O(V·(V+E)) JoinCost calls), and the
@@ -36,6 +39,7 @@ import (
 
 	"joinopt/internal/catalog"
 	"joinopt/internal/cost"
+	"joinopt/internal/estimate"
 	"joinopt/internal/joingraph"
 	"joinopt/internal/plan"
 )
@@ -97,19 +101,16 @@ func (r *Result) ToPlan() *plan.Plan {
 // number of times. Not safe for concurrent use.
 type Planner struct {
 	model cost.Model
-	n     int
 
-	// card[r] is relation r's effective cardinality (>= 1).
-	card []float64
-	// csr is the join graph's shared flat adjacency view (joingraph
-	// builds it once per query): incidences of relation r live at
-	// csr.Nbr/csr.Sel[csr.Off[r]:csr.Off[r+1]], and NeighborMask(r)
-	// feeds the joinability word-AND in selInto.
-	csr *joingraph.CSR
+	// stats sizes every join, exactly as plan.Evaluator does; csr is
+	// its join graph's flat adjacency view, whose neighbor masks answer
+	// "does this candidate join the frontier?" with a word-AND.
+	stats *estimate.Stats
+	csr   *joingraph.CSR
 
 	// comps holds the relations of each connected component (ascending
 	// IDs within a component), segmented by compOff.
-	comps   []int32
+	comps   []catalog.RelID
 	compOff []int32
 
 	// frontier is the joined-so-far membership bitset, reused per
@@ -118,7 +119,7 @@ type Planner struct {
 	// and summed join cost; segIdx is the combination-order sort
 	// permutation; order is the concatenated final order.
 	frontier joingraph.Bitset
-	scratch  []int32
+	scratch  []catalog.RelID
 	segSize  []float64
 	segCost  []float64
 	segIdx   []int
@@ -139,27 +140,18 @@ func New(q *catalog.Query, model cost.Model) (*Planner, error) {
 	}
 	n := q.NumRelations()
 	g := joingraph.New(q)
-	p := &Planner{model: model, n: n}
-
-	p.card = make([]float64, n)
-	for i := range q.Relations {
-		p.card[i] = q.Relations[i].EffectiveCardinality()
-	}
-
-	p.csr = g.CSR()
+	p := &Planner{model: model, stats: estimate.NewStats(q, g), csr: g.CSR()}
 
 	comps := g.Components()
 	p.compOff = make([]int32, 1, len(comps)+1)
-	p.comps = make([]int32, 0, n)
+	p.comps = make([]catalog.RelID, 0, n)
 	for _, comp := range comps {
-		for _, r := range comp {
-			p.comps = append(p.comps, int32(r))
-		}
+		p.comps = append(p.comps, comp...)
 		p.compOff = append(p.compOff, int32(len(p.comps)))
 	}
 
 	p.frontier = joingraph.NewBitset(n)
-	p.scratch = make([]int32, n)
+	p.scratch = make([]catalog.RelID, n)
 	p.segSize = make([]float64, len(comps))
 	p.segCost = make([]float64, len(comps))
 	p.segIdx = make([]int, len(comps))
@@ -175,9 +167,8 @@ func New(q *catalog.Query, model cost.Model) (*Planner, error) {
 func (p *Planner) Plan() *Result {
 	p.work = 0
 	ncomp := len(p.compOff) - 1
-	total := 0.0
 	for c := 0; c < ncomp; c++ {
-		total += p.planComponent(c)
+		p.planComponent(c)
 	}
 
 	// Combination order: smallest final size first (plan.Assemble's
@@ -193,18 +184,17 @@ func (p *Planner) Plan() *Result {
 
 	r := &p.result
 	pos := 0
+	total := 0.0
 	cross := 0.0
 	acc := 0.0
 	for i := 0; i < ncomp; i++ {
 		ci := p.segIdx[i]
 		a, b := int(p.compOff[ci]), int(p.compOff[ci+1])
 		start := pos
-		for k := a; k < b; k++ {
-			p.order[pos] = catalog.RelID(p.scratch[k])
-			pos++
-		}
+		pos += copy(p.order[pos:], p.scratch[a:b])
 		r.Components[i].Perm = p.order[start:pos]
 		r.Components[i].Cost = p.segCost[ci]
+		total += p.segCost[ci]
 		if i == 0 {
 			acc = p.segSize[ci]
 		} else {
@@ -222,37 +212,43 @@ func (p *Planner) Plan() *Result {
 }
 
 // planComponent greedily orders component c into the scratch buffer,
-// recording its final size and summed join cost, and returns the cost.
+// recording its final size and summed join cost.
 //
 //ljqlint:hotpath
-func (p *Planner) planComponent(c int) float64 {
+func (p *Planner) planComponent(c int) {
 	a, b := int(p.compOff[c]), int(p.compOff[c+1])
 	p.frontier.Reset()
 	// Seed with the smallest relation (ascending scan + strict < means
 	// ties go to the lowest ID).
 	seed := p.comps[a]
-	for i := a + 1; i < b; i++ {
-		if p.card[p.comps[i]] < p.card[seed] {
-			seed = p.comps[i]
+	for _, r := range p.comps[a+1 : b] {
+		if p.stats.Cardinality(r) < p.stats.Cardinality(seed) {
+			seed = r
 		}
 	}
 	p.scratch[a] = seed
-	p.frontier.Set(catalog.RelID(seed))
-	size := p.card[seed]
+	p.frontier.Set(seed)
+	size := p.stats.Cardinality(seed)
 	totalCost := 0.0
 	for filled := 1; filled < b-a; filled++ {
-		best := int32(-1)
+		best := catalog.RelID(-1)
 		bestJoin := false
 		bestCost := 0.0
 		bestSize := 0.0
-		for i := a; i < b; i++ {
-			rid := p.comps[i]
-			if p.frontier.Test(catalog.RelID(rid)) {
+		for _, rid := range p.comps[a:b] {
+			if p.frontier.Test(rid) {
 				continue
 			}
-			sel, joined := p.selInto(rid)
-			res := size * p.card[rid] * sel
-			jc := p.model.JoinCost(size, p.card[rid], res)
+			card := p.stats.Cardinality(rid)
+			// A cross product is what JoinSize returns for a relation
+			// with no edge into the frontier, bit for bit (its
+			// selectivity is exactly 1); the word-AND spares the walk.
+			res := size * card
+			joined := p.csr.JoinsInto(rid, p.frontier)
+			if joined {
+				res = p.stats.JoinSize(size, p.frontier, rid)
+			}
+			jc := p.model.JoinCost(size, card, res)
 			p.work++
 			// Joinable candidates strictly dominate cross products (the
 			// cross arm is defensive: a connected component always has a
@@ -263,32 +259,10 @@ func (p *Planner) planComponent(c int) float64 {
 			}
 		}
 		p.scratch[a+filled] = best
-		p.frontier.Set(catalog.RelID(best))
+		p.frontier.Set(best)
 		size = bestSize
 		totalCost += bestCost
 	}
 	p.segSize[c] = size
 	p.segCost[c] = totalCost
-	return totalCost
-}
-
-// selInto returns the product of static selectivities of rid's edges
-// into the current frontier, and whether any such edge exists. The
-// joinability check is a word-AND against rid's precomputed neighbor
-// mask; the selectivity walk reads the shared CSR's Nbr/Sel lanes in
-// merged-edge order (order-stable float accumulation).
-//
-//ljqlint:hotpath
-func (p *Planner) selInto(rid int32) (float64, bool) {
-	if !p.csr.JoinsInto(catalog.RelID(rid), p.frontier) {
-		return 1.0, false
-	}
-	sel := 1.0
-	for ei := p.csr.Off[rid]; ei < p.csr.Off[rid+1]; ei++ {
-		nb := p.csr.Nbr[ei]
-		if p.frontier.Test(catalog.RelID(nb)) {
-			sel *= p.csr.Sel[ei]
-		}
-	}
-	return sel, true
 }

@@ -10,12 +10,13 @@ import (
 	"joinopt/internal/estimate"
 	"joinopt/internal/joingraph"
 	"joinopt/internal/plan"
+	"joinopt/internal/testutil"
 	"joinopt/internal/workload"
 )
 
-// oracleEval builds a static-selectivity evaluator over q — the same
-// cost function the greedy planner approximates, used to cross-check
-// its orders and costs.
+// oracleEval builds a static-selectivity evaluator over q: the
+// order-independent regime in which dp.Optimal is exact, so the DP
+// floor check re-prices greedy orders with it.
 func oracleEval(t *testing.T, q *catalog.Query) *plan.Evaluator {
 	t.Helper()
 	q.Normalize()
@@ -65,15 +66,14 @@ func TestPlanValidDeterministicAndConsistent(t *testing.T) {
 					t.Fatalf("seed=%d: work counter %d, want > 0", seed, res.Work)
 				}
 
-				eval := oracleEval(t, q.Clone())
+				eval, _ := testutil.Eval(q.Clone())
 				if !eval.Valid(res.Order) {
 					t.Fatalf("seed=%d: greedy order %v has a hidden cross product", seed, res.Order)
 				}
-				// The greedy hotpath and the static evaluator share the
-				// same recurrence; their totals must agree closely.
-				repriced := eval.Cost(res.Order)
-				if diff := math.Abs(repriced - res.TotalCost); diff > 1e-6*math.Max(1, math.Abs(repriced)) {
-					t.Fatalf("seed=%d: greedy total %g vs static evaluator %g", seed, res.TotalCost, repriced)
+				// The greedy hotpath and the evaluator run the same
+				// arithmetic in the same order: the totals are equal.
+				if repriced := eval.Cost(res.Order); math.Float64bits(repriced) != math.Float64bits(res.TotalCost) {
+					t.Fatalf("seed=%d: greedy total %g vs evaluator %g", seed, res.TotalCost, repriced)
 				}
 
 				// Determinism: a second Plan on the same planner and a

@@ -6,8 +6,8 @@
 // word, and the CSR view precomputes each vertex's neighbor mask, so a
 // frontier test collapses to a handful of word ANDs regardless of
 // degree. The CSR arrays additionally lay the merged adjacency flat
-// (offsets + neighbor ids + edge indices + static selectivities), the
-// cache-friendly layout the greedy tier and the search strategies scan.
+// (offsets + neighbor ids + edge indices), the cache-friendly layout
+// the estimator's selectivity walk scans.
 //
 // The view is built once per query inside New and shared by everything
 // that consumes the graph: fingerprint canonicalization, the greedy
@@ -80,7 +80,7 @@ func (b Bitset) Count() int {
 func (b Bitset) CopyFrom(o Bitset) { copy(b, o) }
 
 // CSR is the flat adjacency view of a Graph: the incidences of vertex v
-// live at Nbr/EdgeIdx/Sel[Off[v]:Off[v+1]], and NeighborMask(v) is v's
+// live at Nbr/EdgeIdx[Off[v]:Off[v+1]], and NeighborMask(v) is v's
 // neighbor set as a Bitset. Built once per query by New; immutable.
 type CSR struct {
 	words int
@@ -92,10 +92,6 @@ type CSR struct {
 	Nbr []int32
 	// EdgeIdx holds the index into Graph.Edges() of each incidence.
 	EdgeIdx []int32
-	// Sel duplicates each incident edge's merged static selectivity next
-	// to the neighbor id: the greedy tier's inner loop reads only these
-	// two arrays.
-	Sel []float64
 	// masks packs each vertex's neighbor Bitset, words words per vertex.
 	masks []uint64
 }
@@ -132,7 +128,6 @@ func (g *Graph) buildCSR() {
 		Off:     make([]int32, n+1),
 		Nbr:     make([]int32, 2*len(g.edges)),
 		EdgeIdx: make([]int32, 2*len(g.edges)),
-		Sel:     make([]float64, 2*len(g.edges)),
 		masks:   make([]uint64, n*words),
 	}
 	for _, e := range g.edges {
@@ -144,16 +139,15 @@ func (g *Graph) buildCSR() {
 	}
 	cur := make([]int32, n)
 	copy(cur, c.Off[:n])
-	put := func(v, other catalog.RelID, ei int, sel float64) {
+	put := func(v, other catalog.RelID, ei int) {
 		c.Nbr[cur[v]] = int32(other)
 		c.EdgeIdx[cur[v]] = int32(ei)
-		c.Sel[cur[v]] = sel
 		cur[v]++
 		c.masks[int(v)*words+int(other)>>6] |= 1 << uint(other&63)
 	}
 	for ei, e := range g.edges {
-		put(e.From, e.To, ei, e.Selectivity)
-		put(e.To, e.From, ei, e.Selectivity)
+		put(e.From, e.To, ei)
+		put(e.To, e.From, ei)
 	}
 	g.csr = c
 }

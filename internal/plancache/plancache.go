@@ -11,12 +11,12 @@
 //     the first fingerprint bytes, so contention scales with
 //     concurrency, not with cache size.
 //   - Singleflight: the first miss for a key becomes the leader and
-//     runs the compute function on a worker goroutine (behind a
-//     recover barrier); every concurrent request for the same key —
-//     including the leader — waits for either the shared result or its
-//     own context, whichever comes first. Losers therefore still honor
-//     their own deadlines: a waiter whose context expires returns
-//     ctx.Err() immediately while the flight continues for the others.
+//     runs the compute function on its own goroutine (behind a recover
+//     barrier); every concurrent request for the same key waits for
+//     either the shared result or its own context, whichever comes
+//     first. Losers therefore still honor their own deadlines: a waiter
+//     whose context expires returns ctx.Err() immediately while the
+//     flight continues for the others.
 //   - Cost-aware admission: optionally, an entry is only admitted by
 //     evicting a victim whose recorded search budget is not larger
 //     than the candidate's — a plan that took 10M units to find is not
@@ -521,14 +521,16 @@ func (c *Cache) insertLocked(s *shard, e *Entry) (stored, victim *Entry) {
 }
 
 // GetOrCompute returns the entry for k, computing it at most once per
-// concurrent burst: one caller becomes the leader (its compute runs on
-// a worker goroutine under the leader's ctx), the rest coalesce onto
-// the shared result. Coalesced losers still honor their own ctx: if a
+// concurrent burst: one caller becomes the leader and runs compute on
+// its own goroutine, under its own ctx; the rest coalesce onto the
+// shared result. Coalesced losers still honor their own ctx: if a
 // waiter's ctx expires first, its GetOrCompute returns ctx.Err() while
 // the flight continues for the remaining waiters. The leader instead
-// waits for its flight to resolve — the flight runs under the leader's
-// ctx, so its deadline bounds the computation transitively (compute
-// functions must be ctx-aware, as core.Optimizer.RunContext is).
+// returns only once its flight resolves — the flight runs under the
+// leader's ctx, so its deadline bounds the computation transitively
+// (compute functions must be ctx-aware, as core.Optimizer.RunContext
+// is). compute does not escape, so a caller's closure costs no
+// allocation.
 //
 // hit reports a cache hit; shared reports that the result came from a
 // flight started by another request.
@@ -561,28 +563,30 @@ func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(ctx contex
 		tr.Emit(telemetry.EvCacheMiss, 0, "")
 	}
 
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				// The panic barrier required of singleflight workers:
-				// a crash in compute must resolve the flight (waiters
-				// would otherwise hang forever) and surface as an
-				// error, not kill the process.
-				fl.err = fmt.Errorf("plancache: compute panicked: %v", r)
-				c.finish(s, k, fl)
-			}
-		}()
-		fl.entry, fl.err = compute(ctx)
-		c.finish(s, k, fl)
-	}()
-	// The leader waits for its own flight unconditionally: the flight
-	// runs under the leader's ctx, so a deadline stops the computation
-	// itself (the anytime optimizer returns its incumbent, flagged
-	// degraded) and the flight resolves promptly — racing ctx here
-	// would discard that incumbent. Only coalesced waiters race their
-	// own deadline against someone else's flight.
-	<-fl.done
+	// The leader computes its own flight to the end: the flight runs
+	// under the leader's ctx, so a deadline stops the computation itself
+	// (the anytime optimizer returns its incumbent, flagged degraded)
+	// and the flight resolves promptly — racing ctx here would discard
+	// that incumbent. Only coalesced waiters race their own deadline
+	// against someone else's flight.
+	c.run(ctx, s, k, fl, compute)
 	return fl.entry, false, false, fl.err
+}
+
+// run computes a flight on the leader's goroutine and finishes it.
+func (c *Cache) run(ctx context.Context, s *shard, k Key, fl *flight, compute func(ctx context.Context) (*Entry, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			// The panic barrier required of singleflight leaders: a
+			// crash in compute must resolve the flight (waiters would
+			// otherwise hang forever) and surface as an error, not
+			// kill the process.
+			fl.err = fmt.Errorf("plancache: compute panicked: %v", r)
+			c.finish(s, k, fl)
+		}
+	}()
+	fl.entry, fl.err = compute(ctx)
+	c.finish(s, k, fl)
 }
 
 // finish publishes a flight's result: admits the entry, removes the

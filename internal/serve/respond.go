@@ -153,9 +153,10 @@ func (a *answer) appendWire(dst, scratch []byte) ([]byte, []byte) {
 // totalCost, so such a plan is answered 500, as encoding/json's refusal
 // to encode it always was.
 func respond(w http.ResponseWriter, r *http.Request, a *answer) {
-	w.Header().Set("X-Plan-Tier", planTierHeader(a.tier()))
+	h := w.Header()
+	h["X-Plan-Tier"] = planTierHeader(a.tier())
 	rb := respBufPool.Get().(*respBuf)
-	contentType := wire.ContentType
+	contentType := wireContentType
 	if strings.Contains(r.Header.Get("Accept"), wireSubtype) {
 		rb.out, rb.scratch = a.appendWire(rb.out[:0], rb.scratch)
 	} else {
@@ -165,10 +166,10 @@ func respond(w http.ResponseWriter, r *http.Request, a *answer) {
 			return
 		}
 		rb.out, rb.scratch = a.appendJSON(rb.out[:0], rb.scratch)
-		contentType = "application/json"
+		contentType = jsonContentType
 	}
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(rb.out)))
+	h["Content-Type"] = contentType
+	h.Set("Content-Length", strconv.Itoa(len(rb.out)))
 	w.WriteHeader(http.StatusOK)
 	// Write errors mean the client went away; nothing useful remains.
 	_, _ = w.Write(rb.out)

@@ -230,6 +230,58 @@ func TestWritersAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestRespondSharedHeaderValues: respond puts shared value slices into
+// the header map instead of allocating new ones, so a later Add on one
+// response must reallocate rather than write into them.
+func TestRespondSharedHeaderValues(t *testing.T) {
+	q := workload.Default().Generate(8, rand.New(rand.NewSource(2)))
+	fp, order := fingerprint.Canonical(q)
+	perm := make(plan.Perm, len(q.Relations))
+	for i := range perm {
+		perm[i] = catalog.RelID(i)
+	}
+	for _, tier := range []uint8{plancache.TierGreedy, plancache.TierFull} {
+		for _, accept := range []string{"", wire.ContentType} {
+			e := &plancache.Entry{Fingerprint: fp, Plan: &plan.Plan{
+				Components: []plan.Result{{Perm: perm, Cost: 5}}, TotalCost: 5,
+			}, Tier: tier}
+			req := httptest.NewRequest(http.MethodPost, "/optimize", nil)
+			req.Header.Set("Accept", accept)
+			rec := httptest.NewRecorder()
+			respond(rec, req, &answer{q: q, order: order, fp: fp, entry: e})
+			wantTier, wantType := "2", "application/json"
+			if tier == plancache.TierGreedy {
+				wantTier = "1"
+			}
+			if accept != "" {
+				wantType = wire.ContentType
+			}
+			if got := rec.Header().Get("X-Plan-Tier"); got != wantTier {
+				t.Errorf("tier %d: X-Plan-Tier %q, want %q", tier, got, wantTier)
+			}
+			if got := rec.Header().Get("Content-Type"); got != wantType {
+				t.Errorf("Accept %q: Content-Type %q, want %q", accept, got, wantType)
+			}
+			rec.Header().Add("X-Plan-Tier", "3")
+			rec.Header().Add("Content-Type", "text/plain")
+		}
+	}
+	for _, v := range []struct {
+		name string
+		vals []string
+		want string
+	}{
+		{"tier 1", tier1Header, "1"},
+		{"tier 2", tier2Header, "2"},
+		{"JSON", jsonContentType, "application/json"},
+		{"wire", wireContentType, wire.ContentType},
+	} {
+		if len(v.vals) != 1 || cap(v.vals) != 1 || v.vals[0] != v.want {
+			t.Errorf("shared %s header value is %q (cap %d), want [%q] (cap 1)", v.name, v.vals, cap(v.vals), v.want)
+		}
+	}
+}
+
 // BenchmarkAppendJSONResponse20 / BenchmarkAppendWireResponse20 price
 // the direct writers on a cache hit of the 20-join smoke query, into
 // warm buffers: zero allocations.

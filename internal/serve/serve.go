@@ -509,15 +509,26 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // ";v=1" or lists).
 const wireSubtype = "x-ljq-wire"
 
+// Shared header values for /optimize responses, assigned straight into
+// the header map so a response allocates none. Each has cap == len, so
+// a later Header().Add reallocates instead of writing into the shared
+// array.
+var (
+	tier1Header     = []string{"1"}
+	tier2Header     = []string{"2"}
+	jsonContentType = []string{"application/json"}
+	wireContentType = []string{wire.ContentType}
+)
+
 // planTierHeader / tierExplainLine render tier provenance as constant
-// strings: the cache-hit path stays allocation-flat.
+// values: the cache-hit path stays allocation-flat.
 //
 //ljqlint:hotpath
-func planTierHeader(tier int) string {
+func planTierHeader(tier int) []string {
 	if tier == int(plancache.TierGreedy) {
-		return "1"
+		return tier1Header
 	}
-	return "2"
+	return tier2Header
 }
 
 //ljqlint:hotpath

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -318,6 +320,46 @@ func TestTieredUpgradeObservesBudgetHistogram(t *testing.T) {
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(series)) {
 			t.Errorf("/metrics missing %q\n----\n%s", series, buf.String())
+		}
+	}
+}
+
+// TestTieredCostRatioNeverBelowOne: Tier 1 prices with the estimator
+// the full search uses, and an upgrade starts from the greedy order and
+// never returns anything worse, so on connected queries every
+// ljq_tier_cost_ratio observation (greedy cost ÷ upgraded cost) is at
+// least 1. The test swaps in a histogram whose only finite bucket ends
+// just below 1, so that bucket counts exactly the observations under 1.
+func TestTieredCostRatioNeverBelowOne(t *testing.T) {
+	s, ts := newTestServer(t, Config{Tiered: true})
+	reg := telemetry.NewRegistry()
+	s.tiers.ratioH = reg.Histogram("ratio", "", []float64{math.Nextafter(1, 0)})
+
+	var shapes int
+	for _, n := range []int{8, 12, 16, 20, 25, 30} {
+		for seed := int64(1); seed <= 3; seed++ {
+			q := workload.Default().Generate(n, rand.New(rand.NewSource(seed)))
+			if _, or := postOptimize(t, ts.URL, queryBody(t, q)); or.Tier != int(plancache.TierGreedy) {
+				t.Fatalf("n=%d seed=%d: cold miss served tier %d, want %d", n, seed, or.Tier, plancache.TierGreedy)
+			}
+			shapes++
+		}
+	}
+	s.WaitUpgrades()
+
+	if got := s.tiers.upDone.Load(); got != uint64(shapes) {
+		t.Fatalf("%d upgrades completed, want %d", got, shapes)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		"ratio_bucket{le=\"0.9999999999999999\"} 0\n",
+		fmt.Sprintf("ratio_count %d\n", shapes),
+	} {
+		if !bytes.Contains(buf.Bytes(), []byte(series)) {
+			t.Errorf("ratio histogram missing %q\n----\n%s", series, buf.String())
 		}
 	}
 }
