@@ -40,9 +40,9 @@
 //
 //	# tiered planning (on by default): a cold miss is answered from the
 //	# greedy fast path (X-Plan-Tier: 1) while the full search upgrades
-//	# the cached entry in the background; tune when to escalate a miss
-//	# to the synchronous full search and how much to spend on upgrades
-//	ljqd -greedy-threshold 1e12 -upgrade-budget 18
+//	# the cached entry in the background under the same -t budget; a
+//	# greedy plan estimated at 1e18 or more, or at a non-finite cost,
+//	# escalates the miss to the synchronous full search instead
 //	ljqd -tiered=false   # classic synchronous full search on every miss
 //
 //	# cluster mode: each peer lists the full ring membership and its
@@ -87,7 +87,6 @@ import (
 	"joinopt/internal/cluster"
 	"joinopt/internal/core"
 	"joinopt/internal/cost"
-	"joinopt/internal/greedy"
 	"joinopt/internal/persist"
 	"joinopt/internal/plancache"
 	"joinopt/internal/serve"
@@ -119,9 +118,7 @@ func main() {
 		memberFile   = flag.String("membership-file", "", "ring roster file (\"URL [weight]\" per line); polled for epoch changes, takes precedence over -peers")
 		memberPoll   = flag.Duration("membership-poll", 2*time.Second, "how often to poll -membership-file for changes")
 
-		tiered          = flag.Bool("tiered", true, "serve cache misses from the greedy fast path and upgrade in the background")
-		greedyThreshold = flag.Float64("greedy-threshold", greedy.DefaultThreshold, "greedy-plan cost at or above which a miss escalates to the synchronous full search (<=0: never on cost)")
-		upgradeBudget   = flag.Float64("upgrade-budget", 0, "budget coefficient for background tier upgrades (0 = same as -t)")
+		tiered = flag.Bool("tiered", true, "serve cache misses from the greedy fast path and upgrade in the background")
 	)
 	flag.Parse()
 
@@ -183,8 +180,6 @@ func main() {
 		Metrics:          reg,
 		Persist:          mgr,
 		Tiered:           *tiered,
-		GreedyThreshold:  *greedyThreshold,
-		UpgradeTCoeff:    *upgradeBudget,
 	})
 
 	handler := srv.Handler()

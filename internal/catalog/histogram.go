@@ -3,7 +3,6 @@ package catalog
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Histogram is an equi-width frequency histogram over a join column's
@@ -95,30 +94,4 @@ func (h *Histogram) JoinSelectivity(o *Histogram) (float64, bool) {
 		matches += h.Counts[b] * o.Counts[b] / w
 	}
 	return matches / (rl * rr), true
-}
-
-// DistinctEstimate estimates the number of distinct values present:
-// per bucket, the expected count of occupied values given c rows thrown
-// uniformly at w slots, w·(1 − (1 − 1/w)^c).
-func (h *Histogram) DistinctEstimate() float64 {
-	d := 0.0
-	for b, c := range h.Counts {
-		w := h.bucketWidth(b)
-		if w <= 0 || c <= 0 {
-			continue
-		}
-		d += w * (1 - pow1m(1/w, c))
-	}
-	if d < 1 {
-		return 1
-	}
-	return d
-}
-
-// pow1m computes (1−x)^c accurately for small x via expm1/log1p.
-func pow1m(x, c float64) float64 {
-	if x >= 1 {
-		return 0
-	}
-	return math.Exp(c * math.Log1p(-x))
 }

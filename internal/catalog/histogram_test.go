@@ -99,24 +99,6 @@ func TestJoinSelectivityMisaligned(t *testing.T) {
 	}
 }
 
-func TestDistinctEstimate(t *testing.T) {
-	// Dense uniform data: nearly every value occupied.
-	h := uniformHist(100, 10, 10000)
-	if d := h.DistinctEstimate(); d < 95 || d > 100 {
-		t.Fatalf("dense distinct estimate %g", d)
-	}
-	// Sparse: ~c values occupied when c ≪ domain.
-	sparse := uniformHist(100000, 10, 50)
-	if d := sparse.DistinctEstimate(); d < 40 || d > 51 {
-		t.Fatalf("sparse distinct estimate %g", d)
-	}
-	// Degenerate floors at 1.
-	empty := &Histogram{Domain: 10, Counts: make([]float64, 2)}
-	if empty.DistinctEstimate() != 1 {
-		t.Fatal("empty floor")
-	}
-}
-
 func TestNormalizeSwapsHistograms(t *testing.T) {
 	l := uniformHist(10, 2, 5)
 	r := uniformHist(20, 2, 5)

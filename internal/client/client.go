@@ -262,11 +262,6 @@ func (c *Client) Optimize(ctx context.Context, q *catalog.Query) (*serve.Optimiz
 	return c.optimize(ctx, body, "/optimize", "application/json", "")
 }
 
-// OptimizeDSL sends a textual-DSL query body to POST /optimize.
-func (c *Client) OptimizeDSL(ctx context.Context, src string) (*serve.OptimizeResponse, error) {
-	return c.optimize(ctx, []byte(src), "/optimize?format=dsl", "text/x-qdsl", "")
-}
-
 func (c *Client) optimize(ctx context.Context, body []byte, path, contentType, accept string) (*serve.OptimizeResponse, error) {
 	data, err := c.call(ctx, http.MethodPost, path, contentType, accept, body)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"joinopt/internal/catalog"
 	"joinopt/internal/faultinject"
 	"joinopt/internal/serve"
 	"joinopt/internal/telemetry"
@@ -87,6 +88,13 @@ func (s *sleepRecorder) all() []time.Duration {
 	return out
 }
 
+// testQuery is a two-relation join. The transports under test answer
+// without reading it; it only has to encode.
+var testQuery = &catalog.Query{
+	Relations:  []catalog.Relation{{Name: "R", Cardinality: 10}, {Name: "S", Cardinality: 20}},
+	Predicates: []catalog.Predicate{{Left: 0, Right: 1, Selectivity: 0.1}},
+}
+
 func newTestClient(t *testing.T, cfg Config) *Client {
 	t.Helper()
 	if cfg.BaseURL == "" {
@@ -115,9 +123,9 @@ func TestRetriesThenSucceedsWithDeterministicBackoff(t *testing.T) {
 		JitterSeed:  seed,
 		Sleep:       rec.sleep,
 	})
-	resp, err := c.OptimizeDSL(context.Background(), "R(10) S(20) R.x=S.y 0.1")
+	resp, err := c.Optimize(context.Background(), testQuery)
 	if err != nil {
-		t.Fatalf("OptimizeDSL: %v", err)
+		t.Fatalf("Optimize: %v", err)
 	}
 	if resp.Fingerprint != "feedface" || resp.Explain != "join(2,0,1)" {
 		t.Fatalf("unexpected response: %+v", resp)
@@ -151,7 +159,7 @@ func TestRetriesThenSucceedsWithDeterministicBackoff(t *testing.T) {
 		Transport: ft2, MaxAttempts: 4, BaseBackoff: 100 * time.Millisecond,
 		MaxBackoff: 5 * time.Second, JitterSeed: seed, Sleep: rec2.sleep,
 	})
-	if _, err := c2.OptimizeDSL(context.Background(), "R(10) S(20) R.x=S.y 0.1"); err != nil {
+	if _, err := c2.Optimize(context.Background(), testQuery); err != nil {
 		t.Fatal(err)
 	}
 	got2 := rec2.all()
@@ -174,8 +182,8 @@ func TestRetryAfterHonored(t *testing.T) {
 		Transport: ft, MaxAttempts: 3,
 		BaseBackoff: 100 * time.Millisecond, Sleep: rec.sleep,
 	})
-	if _, err := c.OptimizeDSL(context.Background(), "q"); err != nil {
-		t.Fatalf("OptimizeDSL: %v", err)
+	if _, err := c.Optimize(context.Background(), testQuery); err != nil {
+		t.Fatalf("Optimize: %v", err)
 	}
 	got := rec.all()
 	if len(got) != 1 || got[0] != 2*time.Second {
@@ -193,7 +201,7 @@ func TestRetryAfterCapped(t *testing.T) {
 		Transport: ft, MaxAttempts: 2,
 		RetryAfterCap: 5 * time.Second, Sleep: rec.sleep,
 	})
-	if _, err := c.OptimizeDSL(context.Background(), "q"); err != nil {
+	if _, err := c.Optimize(context.Background(), testQuery); err != nil {
 		t.Fatal(err)
 	}
 	got := rec.all()
@@ -207,7 +215,7 @@ func TestPermanent4xxDoesNotRetry(t *testing.T) {
 		Transport: statusInner(http.StatusBadRequest, "parse error at line 1"),
 		Sleep:     (&sleepRecorder{}).sleep,
 	})
-	_, err := c.OptimizeDSL(context.Background(), "not a query")
+	_, err := c.Optimize(context.Background(), testQuery)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("err = %v, want APIError 400", err)
@@ -225,7 +233,7 @@ func TestExhaustedWrapsLastError(t *testing.T) {
 		faultinject.Outcome{Kind: faultinject.Drop},
 	)
 	c := newTestClient(t, Config{Transport: ft, MaxAttempts: 3, Sleep: (&sleepRecorder{}).sleep})
-	_, err := c.OptimizeDSL(context.Background(), "q")
+	_, err := c.Optimize(context.Background(), testQuery)
 	if !errors.Is(err, ErrExhausted) {
 		t.Fatalf("err = %v, want ErrExhausted", err)
 	}
@@ -243,8 +251,8 @@ func Test5xxIsRetryable(t *testing.T) {
 		faultinject.Outcome{Kind: faultinject.Pass},
 	)
 	c := newTestClient(t, Config{Transport: ft, MaxAttempts: 2, Sleep: (&sleepRecorder{}).sleep})
-	if _, err := c.OptimizeDSL(context.Background(), "q"); err != nil {
-		t.Fatalf("OptimizeDSL after 500→200: %v", err)
+	if _, err := c.Optimize(context.Background(), testQuery); err != nil {
+		t.Fatalf("Optimize after 500→200: %v", err)
 	}
 	if got := ft.Log(); len(got) != 2 || got[0] != faultinject.InternalError {
 		t.Fatalf("trajectory %v, want [500 pass]", got)
@@ -263,8 +271,8 @@ func TestPerAttemptTimeoutRetries(t *testing.T) {
 		PerAttemptTimeout: 20 * time.Millisecond,
 		Sleep:             (&sleepRecorder{}).sleep,
 	})
-	if _, err := c.OptimizeDSL(context.Background(), "q"); err != nil {
-		t.Fatalf("OptimizeDSL after hang→pass: %v", err)
+	if _, err := c.Optimize(context.Background(), testQuery); err != nil {
+		t.Fatalf("Optimize after hang→pass: %v", err)
 	}
 	if got := ft.Log(); len(got) != 2 {
 		t.Fatalf("trajectory %v, want hang then pass", got)
@@ -305,7 +313,7 @@ func TestCircuitBreakerTripsProbesAndRecovers(t *testing.T) {
 
 	// Two consecutive failures trip the breaker.
 	for i := 0; i < 2; i++ {
-		if _, err := c.OptimizeDSL(ctx, "q"); !errors.Is(err, ErrExhausted) {
+		if _, err := c.Optimize(ctx, testQuery); !errors.Is(err, ErrExhausted) {
 			t.Fatalf("call %d: err = %v, want ErrExhausted", i, err)
 		}
 	}
@@ -315,7 +323,7 @@ func TestCircuitBreakerTripsProbesAndRecovers(t *testing.T) {
 
 	// While open: fail fast, no transport traffic.
 	before := ft.Requests()
-	if _, err := c.OptimizeDSL(ctx, "q"); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := c.Optimize(ctx, testQuery); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
 	if ft.Requests() != before {
@@ -325,7 +333,7 @@ func TestCircuitBreakerTripsProbesAndRecovers(t *testing.T) {
 	// Cooldown elapses; the half-open probe succeeds and closes it.
 	clock.advance(5 * time.Second)
 	ft.Extend(faultinject.Outcome{Kind: faultinject.Pass})
-	if _, err := c.OptimizeDSL(ctx, "q"); err != nil {
+	if _, err := c.Optimize(ctx, testQuery); err != nil {
 		t.Fatalf("probe call: %v", err)
 	}
 	if st := c.BreakerState(); st != "closed" {
@@ -339,19 +347,19 @@ func TestCircuitBreakerTripsProbesAndRecovers(t *testing.T) {
 		faultinject.Outcome{Kind: faultinject.Drop}, // the failing probe
 	)
 	for i := 0; i < 2; i++ {
-		if _, err := c.OptimizeDSL(ctx, "q"); !errors.Is(err, ErrExhausted) {
+		if _, err := c.Optimize(ctx, testQuery); !errors.Is(err, ErrExhausted) {
 			t.Fatalf("retrip call %d: %v", i, err)
 		}
 	}
 	clock.advance(5 * time.Second)
-	if _, err := c.OptimizeDSL(ctx, "q"); !errors.Is(err, ErrExhausted) {
+	if _, err := c.Optimize(ctx, testQuery); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("failing probe: err = %v", err)
 	}
 	if st := c.BreakerState(); st != "open" {
 		t.Fatalf("breaker %s after failed probe, want open", st)
 	}
 	// And it fails fast again without waiting out the new cooldown.
-	if _, err := c.OptimizeDSL(ctx, "q"); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := c.Optimize(ctx, testQuery); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen after reopen", err)
 	}
 }
@@ -368,7 +376,7 @@ func TestBreakerDisabled(t *testing.T) {
 		Breaker: BreakerConfig{Threshold: -1},
 		Sleep:   (&sleepRecorder{}).sleep,
 	})
-	if _, err := c.OptimizeDSL(context.Background(), "q"); err != nil {
+	if _, err := c.Optimize(context.Background(), testQuery); err != nil {
 		t.Fatalf("disabled breaker must never fail fast: %v", err)
 	}
 }
@@ -408,7 +416,7 @@ func TestResilienceCountersAndMetrics(t *testing.T) {
 		faultinject.Outcome{Kind: faultinject.Pass},
 	)
 	c := newTestClient(t, Config{Transport: ft, MaxAttempts: 4, Sleep: (&sleepRecorder{}).sleep})
-	if _, err := c.OptimizeDSL(context.Background(), "q"); err != nil {
+	if _, err := c.Optimize(context.Background(), testQuery); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -474,7 +482,7 @@ func TestCallerContextCancelStopsRetrying(t *testing.T) {
 			return ctx.Err()
 		},
 	})
-	_, err := c.OptimizeDSL(ctx, "q")
+	_, err := c.Optimize(ctx, testQuery)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -522,7 +530,7 @@ func TestCallerCtxDeathReleasesHalfOpenProbeSlot(t *testing.T) {
 
 	// Trip the breaker open.
 	for i := 0; i < 2; i++ {
-		if _, err := c.OptimizeDSL(context.Background(), "q"); !errors.Is(err, ErrExhausted) {
+		if _, err := c.Optimize(context.Background(), testQuery); !errors.Is(err, ErrExhausted) {
 			t.Fatalf("call %d: err = %v, want ErrExhausted", i, err)
 		}
 	}
@@ -539,7 +547,7 @@ func TestCallerCtxDeathReleasesHalfOpenProbeSlot(t *testing.T) {
 	mu.Lock()
 	cancelCaller = cancel
 	mu.Unlock()
-	if _, err := c.OptimizeDSL(ctx, "q"); !errors.Is(err, context.Canceled) {
+	if _, err := c.Optimize(ctx, testQuery); !errors.Is(err, context.Canceled) {
 		t.Fatalf("probe call: err = %v, want context.Canceled", err)
 	}
 
@@ -549,7 +557,7 @@ func TestCallerCtxDeathReleasesHalfOpenProbeSlot(t *testing.T) {
 	mu.Lock()
 	failing = false
 	mu.Unlock()
-	if _, err := c.OptimizeDSL(context.Background(), "q"); err != nil {
+	if _, err := c.Optimize(context.Background(), testQuery); err != nil {
 		t.Fatalf("post-cancel probe: %v (a leaked probe slot parks the breaker half-open)", err)
 	}
 	if st := c.BreakerState(); st != "closed" {
@@ -588,7 +596,7 @@ func TestShedFailFastReturnsImmediately(t *testing.T) {
 			Breaker:      BreakerConfig{Threshold: 2},
 		})
 		for i := 0; i < 6; i++ { // 3x the breaker threshold
-			_, err := c.OptimizeDSL(context.Background(), "R(10) S(20) R.x=S.y 0.1")
+			_, err := c.Optimize(context.Background(), testQuery)
 			var shed *ShedError
 			if !errors.As(err, &shed) {
 				t.Fatalf("%d/%d: err = %v, want *ShedError", code, i, err)
@@ -638,7 +646,7 @@ func TestShedDefaultStillRetries(t *testing.T) {
 		MaxAttempts: 4,
 		Sleep:       rec.sleep,
 	})
-	resp, err := c.OptimizeDSL(context.Background(), "R(10) S(20) R.x=S.y 0.1")
+	resp, err := c.Optimize(context.Background(), testQuery)
 	if err != nil || resp.Explain == "" {
 		t.Fatalf("err=%v resp=%+v", err, resp)
 	}

@@ -36,13 +36,13 @@ package fingerprint
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"joinopt/internal/catalog"
@@ -144,55 +144,65 @@ func CanonicalQuery(q *catalog.Query) (Fingerprint, []catalog.RelID, *catalog.Qu
 // Relabel returns q rewritten into the canonical labeling given by
 // order (as returned by Canonical): relations appear in canonical
 // order (position i holds the original relation order[i], name kept),
-// predicate endpoints are renumbered and the predicate list is sorted
-// canonically. q is not mutated. Allocates; it belongs on the cache
-// miss path, not the hit path.
+// predicate endpoints are renumbered and normalized (Left < Right,
+// derived selectivities filled), and the predicate list is sorted
+// canonically. Normalize is therefore a no-op on the result. q is not
+// mutated, and the result shares no slice with it; histograms, which
+// nothing writes, are shared. It is built in one pass, one allocation
+// per lane. Allocates; it belongs on the cache miss path, not the hit
+// path.
 func Relabel(q *catalog.Query, order []catalog.RelID) *catalog.Query {
-	qc := q.Clone()
-	qc.Normalize()
-	n := len(qc.Relations)
-	pos := make([]int, n)
+	n := len(q.Relations)
+	pos := make([]catalog.RelID, n)
+	nsel := 0
 	for i, old := range order {
-		pos[old] = i
+		pos[old] = catalog.RelID(i)
+		nsel += len(q.Relations[old].Selections)
 	}
 	out := &catalog.Query{
 		Relations:  make([]catalog.Relation, n),
-		Predicates: make([]catalog.Predicate, len(qc.Predicates)),
+		Predicates: make([]catalog.Predicate, len(q.Predicates)),
 	}
+	// Every relation's selections share one backing array, each cut
+	// at its own length so that growing one cannot overwrite the next.
+	sels := make([]catalog.Selection, 0, nsel)
 	for i, old := range order {
-		out.Relations[i] = qc.Relations[old]
+		r := q.Relations[old]
+		if len(r.Selections) == 0 {
+			r.Selections = nil // as catalog.Query.Clone leaves an empty list
+		} else {
+			start := len(sels)
+			sels = append(sels, r.Selections...)
+			r.Selections = sels[start:len(sels):len(sels)]
+		}
+		out.Relations[i] = r
 	}
-	for i, p := range qc.Predicates {
-		np := p
-		np.Left = catalog.RelID(pos[p.Left])
-		np.Right = catalog.RelID(pos[p.Right])
-		np.Normalize() // restore Left < Right, swapping sides if needed
-		out.Predicates[i] = np
+	for i, p := range q.Predicates {
+		p.Left, p.Right = pos[p.Left], pos[p.Right]
+		p.Normalize() // Left < Right in canonical positions, swapping sides if needed
+		out.Predicates[i] = p
 	}
-	sortPredicates(out.Predicates)
+	slices.SortStableFunc(out.Predicates, cmpPredicate)
 	return out
 }
 
-// sortPredicates orders predicates by (Left, Right, selectivity bits,
-// distinct bits) — a total, label-free order once endpoints are
+// cmpPredicate orders predicates by (Left, Right, selectivity bits,
+// distinct bits): a total, label-free order once endpoints are
 // canonical positions.
-func sortPredicates(ps []catalog.Predicate) {
-	sort.SliceStable(ps, func(a, b int) bool {
-		pa, pb := &ps[a], &ps[b]
-		if pa.Left != pb.Left {
-			return pa.Left < pb.Left
-		}
-		if pa.Right != pb.Right {
-			return pa.Right < pb.Right
-		}
-		if sa, sb := math.Float64bits(pa.Selectivity), math.Float64bits(pb.Selectivity); sa != sb {
-			return sa < sb
-		}
-		if la, lb := math.Float64bits(pa.LeftDistinct), math.Float64bits(pb.LeftDistinct); la != lb {
-			return la < lb
-		}
-		return math.Float64bits(pa.RightDistinct) < math.Float64bits(pb.RightDistinct)
-	})
+func cmpPredicate(a, b catalog.Predicate) int {
+	if c := cmp.Compare(a.Left, b.Left); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Right, b.Right); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(math.Float64bits(a.Selectivity), math.Float64bits(b.Selectivity)); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(math.Float64bits(a.LeftDistinct), math.Float64bits(b.LeftDistinct)); c != 0 {
+		return c
+	}
+	return cmp.Compare(math.Float64bits(a.RightDistinct), math.Float64bits(b.RightDistinct))
 }
 
 // ---------------------------------------------------------------------

@@ -99,8 +99,8 @@ func TestDifferentialGreedyOracle(t *testing.T) {
 // TestEscalationFiresOnWorstShape pins the escalation rule to the
 // differential grid: with the threshold set between the most expensive
 // greedy plan and the runner-up, exactly the worst shape escalates.
-// This is the deployment contract of -greedy-threshold — the shapes
-// where greedy plans are estimated worst are the ones that pay the
+// This is the contract of any escalation threshold — the shapes where
+// greedy plans are estimated worst are the ones that pay the
 // synchronous full search.
 func TestEscalationFiresOnWorstShape(t *testing.T) {
 	shapes := []struct {

@@ -44,11 +44,9 @@ import (
 	"joinopt/internal/plan"
 )
 
-// DefaultThreshold is the default escalation ceiling for Escalate: high
-// enough that only absurd plans (estimator overflow territory) escalate
-// a cold miss to the synchronous full search. Operators lower it with
-// ljqd's -greedy-threshold when they would rather pay full-search
-// latency up front than ever serve an expensive greedy plan.
+// DefaultThreshold is the escalation ceiling ljqd applies through
+// Escalate: high enough that only absurd plans (estimator overflow
+// territory) escalate a cold miss to the synchronous full search.
 const DefaultThreshold = 1e18
 
 // Escalate is the deterministic cost-threshold escalation rule: it

@@ -52,19 +52,6 @@ func (b Bitset) Clear(id catalog.RelID) { b[id>>6] &^= 1 << uint(id&63) }
 //ljqlint:hotpath
 func (b Bitset) Test(id catalog.RelID) bool { return b[id>>6]&(1<<uint(id&63)) != 0 }
 
-// Intersects reports whether b and o share any member. The sets must
-// have been sized for the same relation count.
-//
-//ljqlint:hotpath
-func (b Bitset) Intersects(o Bitset) bool {
-	for i, w := range b {
-		if w&o[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Count returns the number of members.
 func (b Bitset) Count() int {
 	n := 0

@@ -81,9 +81,6 @@ func (g *Graph) buildAdjacency() {
 // NumVertices returns the number of relations.
 func (g *Graph) NumVertices() int { return g.n }
 
-// NumEdges returns the number of (merged) join edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // Edges returns the merged edge list. Callers must not modify it.
 func (g *Graph) Edges() []Edge { return g.edges }
 
@@ -122,24 +119,6 @@ func (g *Graph) EdgeBetween(u, v catalog.RelID) (Edge, bool) {
 func (g *Graph) Connected(u, v catalog.RelID) bool {
 	_, ok := g.EdgeBetween(u, v)
 	return ok
-}
-
-// SelectivityBetween returns the product of the join selectivities of all
-// edges between v and any relation in the set. A relation with no edge
-// into the set yields 1 (pure cross product).
-func (g *Graph) SelectivityBetween(v catalog.RelID, set Bitset) float64 {
-	sel := 1.0
-	for _, ei := range g.adj[v] {
-		e := g.edges[ei]
-		other := e.From
-		if other == v {
-			other = e.To
-		}
-		if set.Test(other) {
-			sel *= e.Selectivity
-		}
-	}
-	return sel
 }
 
 // JoinsInto reports whether v joins with at least one relation in set:
@@ -196,7 +175,8 @@ type Tree struct {
 	// ParentEdge[v] is the graph edge connecting v to Parent[v]
 	// (undefined for the root and for absent vertices).
 	ParentEdge []Edge
-	// Vertices lists the tree's vertices in BFS order from the root.
+	// Vertices lists the tree's vertices in the order they were
+	// attached, root first.
 	Vertices []catalog.RelID
 }
 
@@ -273,33 +253,6 @@ func (g *Graph) MinimumSpanningTree(root catalog.RelID, weight WeightFunc) *Tree
 	return t
 }
 
-// BFSTree returns the breadth-first spanning tree of the component
-// containing root (edge weights ignored).
-func (g *Graph) BFSTree(root catalog.RelID) *Tree {
-	t := newTree(g.n, root)
-	seen := make([]bool, g.n)
-	seen[root] = true
-	queue := []catalog.RelID{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, ei := range g.adj[v] {
-			e := g.edges[ei]
-			other := e.From
-			if other == v {
-				other = e.To
-			}
-			if seen[other] {
-				continue
-			}
-			seen[other] = true
-			t.attach(other, v, e)
-			queue = append(queue, other)
-		}
-	}
-	return t
-}
-
 func newTree(n int, root catalog.RelID) *Tree {
 	t := &Tree{
 		Root:       root,
@@ -365,10 +318,4 @@ func (t *Tree) Reroot(newRoot catalog.RelID) *Tree {
 		}
 	}
 	return nt
-}
-
-// EdgeSelectivity returns the selectivity of the edge joining v to its
-// parent in the tree.
-func (t *Tree) EdgeSelectivity(v catalog.RelID) float64 {
-	return t.ParentEdge[v].Selectivity
 }

@@ -33,8 +33,8 @@ func TestNewMergesParallelPredicates(t *testing.T) {
 		},
 	}
 	g := New(q)
-	if g.NumEdges() != 1 {
-		t.Fatalf("parallel predicates not merged: %d edges", g.NumEdges())
+	if len(g.Edges()) != 1 {
+		t.Fatalf("parallel predicates not merged: %d edges", len(g.Edges()))
 	}
 	e, ok := g.EdgeBetween(0, 1)
 	if !ok {
@@ -89,17 +89,11 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestJoinsIntoAndSelectivityBetween(t *testing.T) {
+func TestJoinsInto(t *testing.T) {
 	g := New(chainQuery(4))
 	inSet := makeBitset(4, 0)
 	if !g.JoinsInto(1, inSet) || g.JoinsInto(2, inSet) {
 		t.Fatal("JoinsInto wrong")
-	}
-	if s := g.SelectivityBetween(1, inSet); s != 0.1 {
-		t.Fatalf("selectivity into set: got %g, want 0.1", s)
-	}
-	if s := g.SelectivityBetween(3, inSet); s != 1 {
-		t.Fatalf("cross-product selectivity: got %g, want 1", s)
 	}
 }
 
@@ -135,23 +129,9 @@ func TestMinimumSpanningTreeDropsWorstEdge(t *testing.T) {
 		if tree.IsRoot(v) {
 			continue
 		}
-		if tree.EdgeSelectivity(v) >= 0.9 {
+		if tree.ParentEdge[v].Selectivity >= 0.9 {
 			t.Fatalf("vertex %d uses the worst edge", v)
 		}
-	}
-}
-
-func TestBFSTreeSpans(t *testing.T) {
-	g := New(chainQuery(5))
-	tree := g.BFSTree(2)
-	if len(tree.Vertices) != 5 {
-		t.Fatalf("BFS tree spans %d, want 5", len(tree.Vertices))
-	}
-	if !tree.IsRoot(2) {
-		t.Fatal("root not marked")
-	}
-	if tree.Parent[0] != 1 || tree.Parent[4] != 3 {
-		t.Fatalf("chain parents wrong: %v", tree.Parent)
 	}
 }
 
@@ -196,7 +176,7 @@ func TestRerootOutsideTreePanics(t *testing.T) {
 	q := chainQuery(6)
 	q.Predicates = q.Predicates[:2] // relations 3..5 disconnected
 	g := New(q)
-	tree := g.BFSTree(0)
+	tree := g.MinimumSpanningTree(0, SelectivityWeight)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic rerooting outside tree")

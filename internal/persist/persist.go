@@ -261,13 +261,7 @@ func (s *Store) Snapshot(entries []*plancache.Entry) error {
 }
 
 func (s *Store) writeSnapshotLocked(entries []*plancache.Entry) error {
-	buf := encodeHeader(magicSnapshot)
-	for _, e := range entries {
-		if e == nil || e.Plan == nil {
-			continue
-		}
-		buf = appendFrame(buf, encodeEntry(e))
-	}
+	buf := EncodeSnapshot(entries)
 	tmp := filepath.Join(s.dir, snapshotName+tmpSuffix)
 	f, err := s.opts.FS.Create(tmp)
 	if err != nil {

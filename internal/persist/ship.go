@@ -28,9 +28,9 @@ import (
 // whole (strict decode — no prefix salvage on the wire).
 var ErrTruncatedSnapshot = errors.New("persist: truncated or corrupt shipped snapshot")
 
-// EncodeSnapshot renders entries in the snapshot container format —
-// the /snapshot wire payload. Nil entries and entries without plans
-// are skipped, mirroring the disk writer.
+// EncodeSnapshot renders entries in the snapshot container format:
+// the bytes Store.Snapshot writes to disk and the /snapshot wire
+// payload alike. Nil entries and entries without plans are skipped.
 func EncodeSnapshot(entries []*plancache.Entry) []byte {
 	buf := encodeHeader(magicSnapshot)
 	for _, e := range entries {

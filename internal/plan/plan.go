@@ -160,17 +160,6 @@ func (e *Evaluator) inject(total float64) float64 {
 	return total
 }
 
-// PrefixCost prices only the first k relations of p (k-1 joins),
-// charging EvalUnitsPerJoin units per join.
-func (e *Evaluator) PrefixCost(p Perm, k int) float64 {
-	k = min(max(k, 0), len(p))
-	total := e.price(p[:k], 0, Trail{})
-	if invariant.Enabled {
-		invariant.NotNaN(total, "evaluator prefix cost")
-	}
-	return total
-}
-
 // price is the pricing loop behind every evaluation. It seeds the
 // intermediate size and running total from tr at from-1 (or from
 // p[0]'s cardinality when from is 0), adds one join per remaining

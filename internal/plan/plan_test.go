@@ -116,20 +116,21 @@ func TestValidSuffixFromAgreesWithValid(t *testing.T) {
 	}
 }
 
+// TestPrefixCostIsPrefixOfCost: a Trail's running total at position
+// k−1 is the cost of p's first k relations, the full cost included.
 func TestPrefixCostIsPrefixOfCost(t *testing.T) {
 	e, _ := fixture(nil)
 	p := Perm{0, 1, 2, 3}
-	full := e.Cost(p)
-	if got := e.PrefixCost(p, 4); math.Abs(got-full) > 1e-9 {
-		t.Fatalf("PrefixCost(all) = %g, want %g", got, full)
+	tr := Trail{Size: make([]float64, len(p)), Total: make([]float64, len(p))}
+	e.CostFrom(p, 0, tr)
+	for k := 1; k <= len(p); k++ {
+		if got, want := tr.Total[k-1], e.Cost(p[:k]); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("trail total over %d relations = %g, want the prefix's cost %g", k, got, want)
+		}
 	}
-	k2 := e.PrefixCost(p, 2)
 	m := cost.NewMemoryModel()
-	if want := m.JoinCost(10, 20, 20); math.Abs(k2-want) > 1e-9 {
-		t.Fatalf("PrefixCost(2) = %g, want %g", k2, want)
-	}
-	if got := e.PrefixCost(p, 99); math.Abs(got-full) > 1e-9 {
-		t.Fatal("PrefixCost clamps k at len(p)")
+	if want := m.JoinCost(10, 20, 20); math.Abs(tr.Total[1]-want) > 1e-9 {
+		t.Fatalf("cost of the first join = %g, want %g", tr.Total[1], want)
 	}
 }
 

@@ -178,8 +178,6 @@ type Hooks struct {
 	// OnAdmit fires after e is admitted (inserted or refreshed in
 	// place). Warm-path admissions (recovery) do not fire it.
 	OnAdmit func(e *Entry)
-	// OnEvict fires after victim is displaced to admit another entry.
-	OnEvict func(victim *Entry)
 }
 
 // Cache is a sharded LRU plan cache with request coalescing. The zero
@@ -331,13 +329,10 @@ func (c *Cache) SetHooks(h Hooks) {
 
 // fireHooks invokes the installed observers for one completed insert,
 // outside the shard lock.
-func (c *Cache) fireHooks(stored, victim *Entry) {
+func (c *Cache) fireHooks(stored *Entry) {
 	h := c.hooks.Load()
 	if h == nil {
 		return
-	}
-	if victim != nil && h.OnEvict != nil {
-		h.OnEvict(victim)
 	}
 	if stored != nil && h.OnAdmit != nil {
 		h.OnAdmit(stored)
@@ -356,9 +351,9 @@ func (c *Cache) Put(e *Entry) bool {
 	}
 	s := c.shardOf(e.Fingerprint)
 	s.mu.Lock()
-	stored, victim := c.insertLocked(s, e)
+	stored := c.insertLocked(s, e)
 	s.mu.Unlock()
-	c.fireHooks(stored, victim)
+	c.fireHooks(stored)
 	return stored != nil
 }
 
@@ -387,7 +382,7 @@ func (c *Cache) warm(e *Entry) bool {
 	}
 	s := c.shardOf(e.Fingerprint)
 	s.mu.Lock()
-	stored, _ := c.insertLocked(s, e)
+	stored := c.insertLocked(s, e)
 	s.mu.Unlock()
 	return stored != nil
 }
@@ -470,10 +465,10 @@ func (c *Cache) Dump() []*Entry {
 	return out
 }
 
-// insertLocked performs insert-with-eviction under the shard lock.
-// stored is the entry now held under the key (nil if admission was
-// refused); victim is the entry evicted to make room, if any.
-func (c *Cache) insertLocked(s *shard, e *Entry) (stored, victim *Entry) {
+// insertLocked performs insert-with-eviction under the shard lock and
+// returns the entry now held under the key (nil if admission was
+// refused).
+func (c *Cache) insertLocked(s *shard, e *Entry) *Entry {
 	if n, ok := s.items[e.Fingerprint]; ok {
 		er, nr := TierRank(n.entry.Tier), TierRank(e.Tier)
 		switch {
@@ -485,7 +480,7 @@ func (c *Cache) insertLocked(s *shard, e *Entry) (stored, victim *Entry) {
 			// still finishing, the flight's late Tier-1 insert is
 			// refused here instead of clobbering the better plan.
 			c.tierRejected.Add(1)
-			return nil, nil
+			return nil
 		case nr > er:
 			// Tier upgrade: the new plan wins wholesale, keeping the
 			// larger budget weight (the shape has had that much search
@@ -504,20 +499,19 @@ func (c *Cache) insertLocked(s *shard, e *Entry) (stored, victim *Entry) {
 			s.replace(n, &Entry{Fingerprint: old.Fingerprint, Plan: e.Plan, BudgetUsed: old.BudgetUsed, Tier: old.Tier})
 		}
 		s.moveFront(n)
-		return n.entry, nil
+		return n.entry
 	}
 	if len(s.items) >= c.perShard {
 		v := s.evictionVictim(c.costAware, c.admissionScan, e.BudgetUsed)
 		if v == nil {
 			c.rejected.Add(1)
-			return nil, nil
+			return nil
 		}
 		s.drop(v)
 		c.evictions.Add(1)
-		victim = v.entry
 	}
 	s.insert(&node{entry: e})
-	return e, victim
+	return e
 }
 
 // GetOrCompute returns the entry for k, computing it at most once per
@@ -594,18 +588,18 @@ func (c *Cache) run(ctx context.Context, s *shard, k Key, fl *flight, compute fu
 // flight finishes exactly once (the recover path only runs when the
 // normal path did not).
 func (c *Cache) finish(s *shard, k Key, fl *flight) {
-	var stored, victim *Entry
+	var stored *Entry
 	s.mu.Lock()
 	if fl.err == nil && fl.entry != nil && fl.entry.Plan != nil &&
 		(!fl.entry.Plan.Degraded || c.admitDegraded) {
-		stored, victim = c.insertLocked(s, fl.entry)
+		stored = c.insertLocked(s, fl.entry)
 	} else if fl.err == nil && fl.entry != nil {
 		c.rejected.Add(1)
 	}
 	delete(s.flights, k)
 	s.mu.Unlock()
 	close(fl.done)
-	c.fireHooks(stored, victim)
+	c.fireHooks(stored)
 }
 
 // wait blocks until the flight resolves or ctx expires, whichever is

@@ -61,7 +61,6 @@ import (
 	"joinopt/internal/core"
 	"joinopt/internal/cost"
 	"joinopt/internal/fingerprint"
-	"joinopt/internal/greedy"
 	"joinopt/internal/persist"
 	"joinopt/internal/plan"
 	"joinopt/internal/plancache"
@@ -135,18 +134,6 @@ type Config struct {
 	// by default: the zero Config keeps the classic synchronous
 	// full-search path.
 	Tiered bool
-	// GreedyThreshold is the Tier-1 escalation ceiling: a greedy plan
-	// whose estimated total cost meets or exceeds it is not served;
-	// the miss runs the full search synchronously instead (default
-	// greedy.DefaultThreshold; <= 0 disables cost-based escalation —
-	// non-finite greedy costs always escalate).
-	GreedyThreshold float64
-	// UpgradeTCoeff is the budget coefficient for background Tier-2
-	// upgrades (default: TCoeff). The upgrade's budget is also the
-	// admission weight of the Tier-1 entry it replaces. Operators raise
-	// it to spend more search off the latency path than they would
-	// synchronously.
-	UpgradeTCoeff float64
 	// ArcPushMaxBytes caps one POST /snapshot/arc payload (default
 	// 64 MiB, matching the warm-start fetch cap): a confused pusher
 	// must not balloon this peer's memory.
@@ -180,12 +167,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 64
-	}
-	if c.GreedyThreshold == 0 {
-		c.GreedyThreshold = greedy.DefaultThreshold
-	}
-	if c.UpgradeTCoeff <= 0 {
-		c.UpgradeTCoeff = c.TCoeff
 	}
 	if c.ArcPushMaxBytes <= 0 {
 		c.ArcPushMaxBytes = 64 << 20
@@ -382,7 +363,7 @@ type OptimizeResponse struct {
 	// BudgetUsed is the served entry's admission weight in work units
 	// (plancache.Entry.BudgetUsed): for a Tier-2 plan, what its search
 	// spent; for a Tier-1 plan, the budget reserved for its background
-	// upgrade, cost.UnitsFor(UpgradeTCoeff, N−1) for N relations, not
+	// upgrade, cost.UnitsFor(TCoeff, N−1) for N relations, not
 	// the greedy planner's own few hundred units. The
 	// ljq_optimize_budget_used_units histogram records what each search,
 	// upgrades included, actually spent.
@@ -570,28 +551,26 @@ func (s *Server) OptimizeQuery(ctx context.Context, q *catalog.Query) (*Optimize
 
 // computeEntry resolves a canonical fingerprint to a plan entry —
 // cache hit, coalesced wait, or fresh optimizer run. q stays in the
-// requester's coordinates; the canonical relabeling is built lazily on
-// the miss path only. Only a flight's leader arms the service's
+// requester's coordinates; the flight's leader builds the canonical
+// relabeling once, on the miss path only, and every planner of the
+// miss reads that one value. Only a flight's leader arms the service's
 // request deadline, inside the flight: a hit needs none, and a
 // coalesced waiter waits on its own context and on the flight, which
 // resolves by the leader's deadline — earlier than the waiter's own
 // would have ended. A flight's leader that produced a Tier-1 entry
-// schedules its background upgrade here, after admission and before
-// the response is written, so only entries the cache kept are
-// upgraded.
+// schedules its background upgrade of the same canonical query here,
+// after admission and before the response is written, so only entries
+// the cache kept are upgraded.
 func (s *Server) computeEntry(ctx context.Context, fp fingerprint.Fingerprint, q *catalog.Query, order []catalog.RelID) (entry *plancache.Entry, hit, shared bool, err error) {
-	weight := int64(len(q.Relations) - 1)
-	if weight < 1 {
-		weight = 1
-	}
+	var cq *catalog.Query // set by the leader, which runs compute on this goroutine
 	entry, hit, shared, err = s.cache.GetOrCompute(ctx, fp, func(ctx context.Context) (*plancache.Entry, error) {
 		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
-		cq := fingerprint.Relabel(q, order)
+		cq = fingerprint.Relabel(q, order)
 		if s.tiers != nil {
-			return s.tiers.compute(ctx, fp, cq, weight)
+			return s.tiers.compute(ctx, fp, cq)
 		}
-		return s.optimize(ctx, fp, cq, weight)
+		return s.optimize(ctx, fp, cq)
 	})
 	if err != nil {
 		return nil, false, false, err
@@ -600,7 +579,7 @@ func (s *Server) computeEntry(ctx context.Context, fp fingerprint.Fingerprint, q
 		return nil, false, false, errNoPlan
 	}
 	if s.tiers != nil && !hit && !shared && entry.Tier == plancache.TierGreedy {
-		s.tiers.upgradeIfKept(entry, q, order)
+		s.tiers.upgradeIfKept(entry, cq)
 	}
 	return entry, hit, shared, nil
 }
@@ -735,10 +714,11 @@ func (s *Server) handleSnapshotArc(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// optimize is the cache-miss path: acquire join-weighted capacity
-// (shedding on queue deadline), then run the anytime optimizer on the
-// canonical query under the request context.
-func (s *Server) optimize(ctx context.Context, fp fingerprint.Fingerprint, cq *catalog.Query, weight int64) (*plancache.Entry, error) {
+// optimize is the synchronous cache-miss path: acquire capacity
+// weighted by the join count (shedding on queue deadline), then run
+// the full search on the canonical query under the request context.
+func (s *Server) optimize(ctx context.Context, fp fingerprint.Fingerprint, cq *catalog.Query) (*plancache.Entry, error) {
+	weight := int64(joins(cq))
 	qctx, qcancel := context.WithTimeout(ctx, s.cfg.QueueTimeout)
 	err := s.sem.Acquire(qctx, weight)
 	qcancel()
@@ -751,26 +731,47 @@ func (s *Server) optimize(ctx context.Context, fp fingerprint.Fingerprint, cq *c
 	defer s.sem.Release(weight)
 	s.optimizes.Add(1)
 
-	n := len(cq.Relations) - 1
-	if n < 1 {
-		n = 1
-	}
-	budget := cost.NewBudget(cost.UnitsFor(s.cfg.TCoeff, n))
-	opt, err := core.NewOptimizer(cq.Clone(), s.cfg.Model, budget, rand.New(rand.NewSource(s.cfg.Seed)), core.Options{})
-	if err != nil {
+	pl, used, err := s.search(ctx, cq, nil)
+	if pl == nil {
 		return nil, err
 	}
-	pl, runErr := opt.RunContext(ctx, s.cfg.Method)
-	if pl == nil {
-		// RunContext's anytime contract makes this unreachable; be
-		// defensive about future regressions.
-		return nil, runErr
-	}
-	s.budgetUsedH.Observe(float64(budget.Used())) // nil-safe no-op when metrics are off
 	// A recovered strategy panic still yields a valid (degraded) plan;
 	// serve it — the plancache's admission policy keeps degraded plans
 	// out of the cache.
-	return &plancache.Entry{Fingerprint: fp, Plan: pl, BudgetUsed: budget.Used(), Tier: plancache.TierFull}, nil
+	return &plancache.Entry{Fingerprint: fp, Plan: pl, BudgetUsed: used, Tier: plancache.TierFull}, nil
+}
+
+// search runs the full anytime search over the canonical query cq
+// under searchUnits(cq) and the configured seed, warm-started from
+// incumbent when it is non-nil, and returns the plan with the units it
+// spent. It is the one full search: a synchronous miss runs it from
+// scratch, a background upgrade from the greedy order. cq is only
+// read. A nil plan comes with the error that prevented the search;
+// RunContext's anytime contract otherwise always yields one, degraded
+// if need be.
+func (s *Server) search(ctx context.Context, cq *catalog.Query, incumbent plan.Perm) (*plan.Plan, int64, error) {
+	budget := cost.NewBudget(s.searchUnits(cq))
+	opt, err := core.NewOptimizer(cq, s.cfg.Model, budget, rand.New(rand.NewSource(s.cfg.Seed)), core.Options{Incumbent: incumbent})
+	if err != nil {
+		return nil, 0, err
+	}
+	pl, err := opt.RunContext(ctx, s.cfg.Method)
+	s.budgetUsedH.Observe(float64(budget.Used())) // nil-safe no-op when metrics are off
+	return pl, budget.Used(), err
+}
+
+// searchUnits is the work-unit budget of one full search over cq,
+// cost.UnitsFor(TCoeff, joins). It is also the admission weight of a
+// Tier-1 entry, the budget its upgrade will spend, so the two cannot
+// drift.
+func (s *Server) searchUnits(cq *catalog.Query) int64 {
+	return cost.UnitsFor(s.cfg.TCoeff, joins(cq))
+}
+
+// joins is the join count that sizes a search over q: N−1 for N
+// relations, at least 1.
+func joins(q *catalog.Query) int {
+	return max(len(q.Relations)-1, 1)
 }
 
 // translatePlan maps a plan expressed in canonical relation positions

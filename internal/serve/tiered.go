@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
 	"joinopt/internal/catalog"
-	"joinopt/internal/core"
-	"joinopt/internal/cost"
 	"joinopt/internal/fingerprint"
 	"joinopt/internal/greedy"
 	"joinopt/internal/plan"
@@ -37,16 +34,20 @@ import (
 //     inside the flight — it Puts its result directly, and the
 //     plancache's upgrade-only replacement refuses any late Tier-1
 //     insert after a Tier-2 plan landed.
+//   - One canonical query: the flight relabels the requester's query
+//     once, and greedy, an escalated search and the upgrade all read
+//     that same value. None of them writes it, and the leader hands
+//     it to the upgrade only once the flight is done with it.
 //   - Admission: a Tier-1 entry weighs what keeping it will cost, the
-//     budget its upgrade runs under (upgradeUnits), so cost-aware
-//     admission decides which greedy plans are worth upgrading. A
-//     refused entry is still served to its requester but costs no
-//     upgrade.
-//   - Determinism: the upgrade optimizes the canonical query under the
-//     configured seed and the upgrade budget, exactly like the
-//     synchronous path — the Tier-2 plan is the same pure function of
-//     (fingerprint, seed, budget), so same-seed runs serve
-//     byte-identical upgraded plans.
+//     budget its upgrade runs under (Server.searchUnits), so
+//     cost-aware admission decides which greedy plans are worth
+//     upgrading. A refused entry is still served to its requester but
+//     costs no upgrade.
+//   - Determinism: the upgrade is the synchronous path's search
+//     (Server.search) over the canonical query, under the configured
+//     seed and the same budget, warm-started from the greedy order —
+//     the Tier-2 plan is a pure function of (fingerprint, seed,
+//     budget), so same-seed runs serve byte-identical upgraded plans.
 //   - Degradation: a degraded upgrade result (cancelled at drain,
 //     strategy panic) is discarded, never cached — the Tier-1 plan
 //     stays until a future full run succeeds.
@@ -54,8 +55,7 @@ import (
 //     (upgradeConcurrency), not the join-weighted limiter, so
 //     background work never queues ahead of foreground requests.
 type tierOrchestrator struct {
-	srv       *Server
-	threshold float64
+	srv *Server
 
 	// gate caps concurrently-running upgrades; pending dedupes and
 	// bounds scheduled ones.
@@ -93,12 +93,11 @@ func newTierOrchestrator(s *Server) *tierOrchestrator {
 	//ljqlint:allow ctxflow -- upgrades outlive any single request by design; StopUpgrades cancels this at drain
 	ctx, cancel := context.WithCancel(context.Background())
 	return &tierOrchestrator{
-		srv:       s,
-		threshold: s.cfg.GreedyThreshold,
-		gate:      make(chan struct{}, upgradeConcurrency),
-		pending:   make(map[fingerprint.Fingerprint]struct{}),
-		ctx:       ctx,
-		cancel:    cancel,
+		srv:     s,
+		gate:    make(chan struct{}, upgradeConcurrency),
+		pending: make(map[fingerprint.Fingerprint]struct{}),
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 }
 
@@ -138,28 +137,18 @@ func (t *tierOrchestrator) fillStatus(ts *TierStatus) {
 
 // compute is the tiered cache-miss path, run inside the cache's
 // singleflight. It answers with a greedy plan, weighted at its
-// upgrade's budget, when the escalation rule permits; otherwise it
-// falls through to the synchronous full-search path. The upgrade is
-// scheduled after admission, by upgradeIfKept.
-func (t *tierOrchestrator) compute(ctx context.Context, fp fingerprint.Fingerprint, cq *catalog.Query, weight int64) (*plancache.Entry, error) {
+// upgrade's budget, unless greedy.Escalate rejects that plan at
+// greedy.DefaultThreshold; then it falls through to the synchronous
+// full-search path. The upgrade is scheduled after admission, by
+// upgradeIfKept.
+func (t *tierOrchestrator) compute(ctx context.Context, fp fingerprint.Fingerprint, cq *catalog.Query) (*plancache.Entry, error) {
 	res, err := t.greedyPlan(cq)
-	if err == nil && !greedy.Escalate(res.TotalCost, t.threshold) {
+	if err == nil && !greedy.Escalate(res.TotalCost, greedy.DefaultThreshold) {
 		t.tier1Served.Add(1)
-		return &plancache.Entry{Fingerprint: fp, Plan: res.ToPlan(), BudgetUsed: t.upgradeUnits(len(cq.Relations)), Tier: plancache.TierGreedy}, nil
+		return &plancache.Entry{Fingerprint: fp, Plan: res.ToPlan(), BudgetUsed: t.srv.searchUnits(cq), Tier: plancache.TierGreedy}, nil
 	}
 	t.escalations.Add(1)
-	return t.srv.optimize(ctx, fp, cq, weight)
-}
-
-// upgradeUnits is the work-unit budget of a background upgrade of a
-// query with rels relations. It is also the admission weight of the
-// Tier-1 entry that upgrade replaces, so the two cannot drift.
-func (t *tierOrchestrator) upgradeUnits(rels int) int64 {
-	n := rels - 1
-	if n < 1 {
-		n = 1
-	}
-	return cost.UnitsFor(t.srv.cfg.UpgradeTCoeff, n)
+	return t.srv.optimize(ctx, fp, cq)
 }
 
 // greedyPlan builds and runs the Tier-1 planner behind a recover
@@ -173,7 +162,7 @@ func (t *tierOrchestrator) greedyPlan(cq *catalog.Query) (res *greedy.Result, er
 			res, err = nil, fmt.Errorf("serve: greedy planner panicked: %v", r)
 		}
 	}()
-	p, err := greedy.New(cq.Clone(), t.srv.cfg.Model)
+	p, err := greedy.New(cq, t.srv.cfg.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -181,16 +170,14 @@ func (t *tierOrchestrator) greedyPlan(cq *catalog.Query) (res *greedy.Result, er
 }
 
 // upgradeIfKept schedules the background upgrade of e, the Tier-1
-// entry a miss's flight just produced, if the cache still holds that
-// very entry: an entry admission refused, or one already replaced or
-// evicted, is never upgraded. q and order are the requester's query
-// and its canonical order; the canonical relabeling is rebuilt here,
-// off the hit path.
-func (t *tierOrchestrator) upgradeIfKept(e *plancache.Entry, q *catalog.Query, order []catalog.RelID) {
+// entry a miss's flight just produced from the canonical query cq, if
+// the cache still holds that very entry: an entry admission refused,
+// or one already replaced or evicted, is never upgraded.
+func (t *tierOrchestrator) upgradeIfKept(e *plancache.Entry, cq *catalog.Query) {
 	if cur, ok := t.srv.cache.Peek(e.Fingerprint); !ok || cur != e {
 		return
 	}
-	t.scheduleUpgrade(e.Fingerprint, fingerprint.Relabel(q, order), e.Plan.Order(), e.Plan.TotalCost)
+	t.scheduleUpgrade(e.Fingerprint, cq, e.Plan.Order(), e.Plan.TotalCost)
 }
 
 // scheduleUpgrade queues a background Tier-2 upgrade for fp, deduping
@@ -246,22 +233,14 @@ func (t *tierOrchestrator) upgrade(fp fingerprint.Fingerprint, cq *catalog.Query
 	}
 	defer func() { <-t.gate }()
 
-	cfg := &t.srv.cfg
-	budget := cost.NewBudget(t.upgradeUnits(len(cq.Relations)))
-	opt, err := core.NewOptimizer(cq, cfg.Model, budget, rand.New(rand.NewSource(cfg.Seed)), core.Options{Incumbent: incumbent})
-	if err != nil {
-		t.upFailed.Add(1)
-		return
-	}
-	pl, _ := opt.RunContext(t.ctx, cfg.Method)
-	t.srv.budgetUsedH.Observe(float64(budget.Used())) // nil-safe no-op when metrics are off
+	pl, used, _ := t.srv.search(t.ctx, cq, incumbent)
 	if pl == nil || pl.Degraded {
 		// Cancelled at drain, starved, or panicked: never replace a
 		// healthy Tier-1 plan with a degraded Tier-2 one.
 		t.upFailed.Add(1)
 		return
 	}
-	t.srv.cache.Put(&plancache.Entry{Fingerprint: fp, Plan: pl, BudgetUsed: budget.Used(), Tier: plancache.TierFull})
+	t.srv.cache.Put(&plancache.Entry{Fingerprint: fp, Plan: pl, BudgetUsed: used, Tier: plancache.TierFull})
 	t.upDone.Add(1)
 	if t.ratioH != nil && !math.IsInf(greedyCost, 0) && !math.IsNaN(greedyCost) && pl.TotalCost > 0 {
 		t.ratioH.Observe(greedyCost / pl.TotalCost)

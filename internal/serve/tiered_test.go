@@ -78,7 +78,7 @@ func TestTieredColdMissServesGreedyThenUpgrades(t *testing.T) {
 		// A Tier-1 entry weighs the budget reserved for its upgrade, and
 		// the upgraded entry keeps the larger of that and what its
 		// search spent.
-		if want := cost.UnitsFor(s.cfg.UpgradeTCoeff, 20); or.BudgetUsed != want {
+		if want := cost.UnitsFor(s.cfg.TCoeff, 20); or.BudgetUsed != want {
 			t.Fatalf("greedy BudgetUsed %d, want the upgrade budget %d", or.BudgetUsed, want)
 		}
 		if or2.BudgetUsed < or.BudgetUsed {
@@ -102,12 +102,29 @@ func TestTieredColdMissServesGreedyThenUpgrades(t *testing.T) {
 	}
 }
 
-// TestTieredEscalation: with an absurdly low threshold every greedy
-// plan escalates, so the cold miss pays the synchronous full search
-// and no upgrade is scheduled.
+// TestTieredEscalation: a greedy plan priced at or past
+// greedy.DefaultThreshold escalates, so the cold miss pays the
+// synchronous full search, is served a finite Tier-2 plan, and no
+// upgrade is scheduled. The query is a 4-relation chain of 1e8-row
+// relations joined at selectivity 1: every join order costs at least
+// 1e32, yet stays finite.
 func TestTieredEscalation(t *testing.T) {
-	s, ts := newTestServer(t, Config{Tiered: true, GreedyThreshold: 1e-300})
-	q := workload.Default().Generate(12, rand.New(rand.NewSource(7)))
+	s, ts := newTestServer(t, Config{Tiered: true})
+	q := &catalog.Query{}
+	for i := 0; i < 4; i++ {
+		q.Relations = append(q.Relations, catalog.Relation{Name: fmt.Sprintf("R%d", i), Cardinality: 1e8})
+	}
+	for i := 0; i+1 < 4; i++ {
+		q.Predicates = append(q.Predicates, catalog.Predicate{Left: catalog.RelID(i), Right: catalog.RelID(i + 1), Selectivity: 1})
+	}
+	_, _, cq := fingerprint.CanonicalQuery(q)
+	g, err := greedy.New(cq, s.cfg.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := g.Plan().TotalCost; !greedy.Escalate(c, greedy.DefaultThreshold) {
+		t.Fatalf("greedy prices the chain at %g, below the escalation threshold %g", c, greedy.DefaultThreshold)
+	}
 
 	_, or := postOptimize(t, ts.URL, queryBody(t, q))
 	if or.Tier != int(plancache.TierFull) {
@@ -116,6 +133,10 @@ func TestTieredEscalation(t *testing.T) {
 	if or.CacheHit {
 		t.Fatal("cold request reported a cache hit")
 	}
+	if math.IsInf(or.TotalCost, 0) || math.IsNaN(or.TotalCost) {
+		t.Fatalf("escalated miss served a non-finite plan cost %g", or.TotalCost)
+	}
+	checkValidOrder(t, or.Order, len(q.Relations))
 
 	st := statusz(t, ts.URL)
 	if !st.Tiers.Enabled {
@@ -194,7 +215,7 @@ func TestTieredRefusedEntrySchedulesNoUpgrade(t *testing.T) {
 	s, ts := newTestServer(t, Config{Tiered: true, CacheHandle: cache})
 	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
 	heavy := residentEntry(t, workload.Default().Generate(8, rand.New(rand.NewSource(3))),
-		2*cost.UnitsFor(s.cfg.UpgradeTCoeff, 20))
+		2*cost.UnitsFor(s.cfg.TCoeff, 20))
 	if !cache.Put(heavy) {
 		t.Fatal("resident entry refused")
 	}
@@ -223,7 +244,7 @@ func TestTieredAdmittedEntryUpgradesOnce(t *testing.T) {
 	s, ts := newTestServer(t, Config{Tiered: true, CacheHandle: cache})
 	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
 	body := queryBody(t, q)
-	weight := cost.UnitsFor(s.cfg.UpgradeTCoeff, 20)
+	weight := cost.UnitsFor(s.cfg.TCoeff, 20)
 
 	_, _, cq := fingerprint.CanonicalQuery(q)
 	g, err := greedy.New(cq, s.cfg.Model)
