@@ -287,6 +287,7 @@ func BenchmarkNeighbor(b *testing.B) {
 	for _, n := range []int{10, 50, 100} {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			_, sp, p := microFixture(n)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sp.Neighbor(p)

@@ -148,7 +148,10 @@ func (q *Query) Normalize() {
 	}
 }
 
-// Clone returns a deep copy of the query.
+// Clone returns a copy of the query that shares no slice with it:
+// relations, their selections and predicates are copied. Each
+// predicate's LeftHist and RightHist, which nothing writes, are shared
+// with the original.
 func (q *Query) Clone() *Query {
 	c := &Query{
 		Relations:  make([]Relation, len(q.Relations)),

@@ -64,7 +64,7 @@ func BenchmarkClusterFailover(b *testing.B) {
 	if _, err := r.Optimize(ctx, q); err != nil {
 		b.Fatal(err)
 	}
-	fp, _, _ := fingerprint.CanonicalQuery(q)
+	fp := fingerprint.Of(q)
 	ct.Kill(strings.TrimPrefix(r.Ring().Primary(fp), "http://"))
 	if _, err := r.Optimize(ctx, q); err != nil { // warm the successor
 		b.Fatal(err)

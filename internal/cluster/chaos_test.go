@@ -35,7 +35,7 @@ func queryWithOrder(t *testing.T, ring *Ring, want []string, n int) *catalog.Que
 	t.Helper()
 	for seed := int64(1); seed < 5000; seed++ {
 		q := workload.Default().Generate(n, rand.New(rand.NewSource(seed)))
-		fp, _, _ := fingerprint.CanonicalQuery(q)
+		fp := fingerprint.Of(q)
 		got := ring.Successors(fp, len(want))
 		ok := len(got) == len(want)
 		for i := range want {

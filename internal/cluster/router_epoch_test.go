@@ -111,7 +111,7 @@ func TestRouterShedFailover429(t *testing.T) {
 
 	ctx := context.Background()
 	q := queryOwnedBy(t, router.Ring(), "http://peer0", 8)
-	fp, _, _ := fingerprint.CanonicalQuery(q)
+	fp := fingerprint.Of(q)
 	second := router.Ring().Successors(fp, 2)[1]
 	for i := 0; i < 10; i++ {
 		resp, err := router.Optimize(ctx, q)

@@ -79,7 +79,7 @@ func queryOwnedBy(t *testing.T, ring *Ring, peer string, n int) *catalog.Query {
 	t.Helper()
 	for seed := int64(1); seed < 2000; seed++ {
 		q := workload.Default().Generate(n, rand.New(rand.NewSource(seed)))
-		fp, _, _ := fingerprint.CanonicalQuery(q)
+		fp := fingerprint.Of(q)
 		if ring.Primary(fp) == peer {
 			return q
 		}
@@ -161,7 +161,7 @@ func TestRouterHopSpeaksWire(t *testing.T) {
 		t.Fatalf("peer hop Content-Type %q Accept %q, want %q for both", h.contentType, h.accept, wire.ContentType)
 	}
 
-	fp, _, _ := fingerprint.CanonicalQuery(q)
+	fp := fingerprint.Of(q)
 	edge, err := client.New(client.Config{BaseURL: r.Ring().Primary(fp)})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestRouterFailoverOnDeadPrimary(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{})
 	ctx := context.Background()
 	q := queryOwnedBy(t, tc.router.Ring(), "http://peer0", 8)
-	fp, _, _ := fingerprint.CanonicalQuery(q)
+	fp := fingerprint.Of(q)
 	second := tc.router.Ring().Successors(fp, 2)[1]
 
 	tc.ct.Kill("peer0")
@@ -235,7 +235,7 @@ func TestRouterAPIErrorReturnsWithoutFailover(t *testing.T) {
 		t.Fatalf("4xx caused failover: %+v", st)
 	}
 	// The peer answered: that is breaker-success, not failure.
-	fp, _, _ := fingerprint.CanonicalQuery(q)
+	fp := fingerprint.Of(q)
 	if got := breakerState(r, r.Ring().Primary(fp)); got != "closed" {
 		t.Fatalf("primary breaker %s after 4xx", got)
 	}

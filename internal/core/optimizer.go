@@ -577,7 +577,8 @@ func (o *Optimizer) perturbationWalk(sp *search.Space, t *tracker) {
 			t.offer(cur, curCost)
 			continue
 		}
-		cur, curCost = next, nextCost
+		// Every valid move is accepted, and the tracker may keep it.
+		cur, curCost = next.Clone(), nextCost
 		t.offer(cur, curCost)
 	}
 }

@@ -79,7 +79,8 @@ func TestDifferentialDigests(t *testing.T) {
 // sorted predicate list, statistic for statistic.
 func TestDifferentialRelabeling(t *testing.T) {
 	for qi, q := range diffQueries(t) {
-		_, _, gotQ := CanonicalQuery(q)
+		_, order := Canonical(q)
+		gotQ := Relabel(q, order)
 		_, _, wantQ := LegacyCanonicalQuery(q)
 		if len(gotQ.Relations) != len(wantQ.Relations) || len(gotQ.Predicates) != len(wantQ.Predicates) {
 			t.Fatalf("query %d: relabeled sizes differ", qi)

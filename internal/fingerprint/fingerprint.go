@@ -131,16 +131,6 @@ func Canonical(q *catalog.Query) (Fingerprint, []catalog.RelID) {
 	return f, order
 }
 
-// CanonicalQuery returns the fingerprint, the canonical order, and the
-// canonically relabeled query itself (see Relabel). Optimizing the
-// canonical query instead of the original makes the search trajectory
-// — and hence the cached plan — a pure function of the fingerprint and
-// seed, independent of how the client happened to label its relations.
-func CanonicalQuery(q *catalog.Query) (Fingerprint, []catalog.RelID, *catalog.Query) {
-	f, order := Canonical(q)
-	return f, order, Relabel(q, order)
-}
-
 // Relabel returns q rewritten into the canonical labeling given by
 // order (as returned by Canonical): relations appear in canonical
 // order (position i holds the original relation order[i], name kept),
@@ -150,7 +140,9 @@ func CanonicalQuery(q *catalog.Query) (Fingerprint, []catalog.RelID, *catalog.Qu
 // mutated, and the result shares no slice with it; histograms, which
 // nothing writes, are shared. It is built in one pass, one allocation
 // per lane. Allocates; it belongs on the cache miss path, not the hit
-// path.
+// path. Optimizing the relabeled query instead of the original makes
+// the search trajectory, and so the cached plan, a function of the
+// fingerprint and seed alone.
 func Relabel(q *catalog.Query, order []catalog.RelID) *catalog.Query {
 	n := len(q.Relations)
 	pos := make([]catalog.RelID, n)

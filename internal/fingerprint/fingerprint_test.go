@@ -184,10 +184,13 @@ func TestSymmetricTies(t *testing.T) {
 func TestCanonicalQueryIsomorphismFixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	q := workload.Default().Generate(15, rng)
-	_, _, base := CanonicalQuery(q)
+	_, order := Canonical(q)
+	base := Relabel(q, order)
 	for trial := 0; trial < 5; trial++ {
 		perm := rng.Perm(len(q.Relations))
-		fp, _, cq := CanonicalQuery(permute(q, perm, rng))
+		pq := permute(q, perm, rng)
+		fp, porder := Canonical(pq)
+		cq := Relabel(pq, porder)
 		if fp != Of(q) {
 			t.Fatalf("trial %d: fingerprint drifted", trial)
 		}

@@ -45,8 +45,8 @@ func FuzzFingerprintPermutation(f *testing.F) {
 		// The two canonical queries must be structurally identical: the
 		// whole point of canonicalization is that isomorphic queries
 		// collapse to one cache entry.
-		_, _, cq1 := CanonicalQuery(q)
-		_, _, cq2 := CanonicalQuery(relabeled)
+		cq1 := Relabel(q, order)
+		cq2 := Relabel(relabeled, order2)
 		if len(cq1.Relations) != len(cq2.Relations) || len(cq1.Predicates) != len(cq2.Predicates) {
 			t.Fatalf("canonical forms differ in size")
 		}

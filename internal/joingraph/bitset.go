@@ -104,19 +104,16 @@ func (c *CSR) JoinsInto(v catalog.RelID, set Bitset) bool {
 	return false
 }
 
-// buildCSR lays the merged adjacency flat and precomputes neighbor
-// masks. Per-vertex incidence order follows edge index order, matching
-// the append order of buildAdjacency.
+// buildCSR lays the merged adjacency flat; New has already set the
+// neighbor masks. Off, Nbr and EdgeIdx share one allocation, and each
+// vertex's incidences follow edge index order.
 func (g *Graph) buildCSR() {
-	n := g.n
-	words := (n + 63) >> 6
-	c := &CSR{
-		words:   words,
-		Off:     make([]int32, n+1),
-		Nbr:     make([]int32, 2*len(g.edges)),
-		EdgeIdx: make([]int32, 2*len(g.edges)),
-		masks:   make([]uint64, n*words),
-	}
+	n, m := g.n, len(g.edges)
+	c := &g.csr
+	lanes := make([]int32, n+1+4*m)
+	c.Off = lanes[: n+1 : n+1]
+	c.Nbr = lanes[n+1 : n+1+2*m : n+1+2*m]
+	c.EdgeIdx = lanes[n+1+2*m:]
 	for _, e := range g.edges {
 		c.Off[e.From+1]++
 		c.Off[e.To+1]++
@@ -124,20 +121,21 @@ func (g *Graph) buildCSR() {
 	for v := 0; v < n; v++ {
 		c.Off[v+1] += c.Off[v]
 	}
-	cur := make([]int32, n)
-	copy(cur, c.Off[:n])
+	// Fill each vertex's run with Off[v] as its cursor, which leaves
+	// Off[v] at the run's end; shifting Off up one slot restores the
+	// starts.
 	put := func(v, other catalog.RelID, ei int) {
-		c.Nbr[cur[v]] = int32(other)
-		c.EdgeIdx[cur[v]] = int32(ei)
-		cur[v]++
-		c.masks[int(v)*words+int(other)>>6] |= 1 << uint(other&63)
+		c.Nbr[c.Off[v]] = int32(other)
+		c.EdgeIdx[c.Off[v]] = int32(ei)
+		c.Off[v]++
 	}
 	for ei, e := range g.edges {
 		put(e.From, e.To, ei)
 		put(e.To, e.From, ei)
 	}
-	g.csr = c
+	copy(c.Off[1:], c.Off[:n])
+	c.Off[0] = 0
 }
 
 // CSR returns the graph's flat adjacency view.
-func (g *Graph) CSR() *CSR { return g.csr }
+func (g *Graph) CSR() *CSR { return &g.csr }

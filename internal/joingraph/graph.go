@@ -10,7 +10,7 @@ package joingraph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"joinopt/internal/catalog"
 )
@@ -35,26 +35,28 @@ type Edge struct {
 type Graph struct {
 	n     int
 	edges []Edge
-	// adj[v] lists indices into edges for every edge incident to v.
-	adj [][]int
 	// csr is the flat bitset adjacency view (see bitset.go), built once
-	// at construction and shared by every frontier-scanning consumer.
-	csr *CSR
+	// at construction: the one adjacency every consumer walks.
+	csr CSR
 }
 
 // New builds a join graph from a query's predicates. Parallel predicates
-// are merged; selectivities multiply.
+// are merged; selectivities multiply. A predicate repeats an earlier
+// pair when the pair's bit is already set in the neighbor masks; the
+// repeats are multiplied in once the CSR can find their edge.
 func New(q *catalog.Query) *Graph {
-	g := &Graph{n: q.NumRelations()}
-	index := make(map[[2]catalog.RelID]int)
+	n := q.NumRelations()
+	g := &Graph{n: n, edges: make([]Edge, 0, len(q.Predicates))}
+	c := &g.csr
+	c.words = (n + 63) >> 6
+	c.masks = make([]uint64, n*c.words)
 	for _, p := range q.Predicates {
 		p.Normalize()
-		key := [2]catalog.RelID{p.Left, p.Right}
-		if ei, ok := index[key]; ok {
-			g.edges[ei].Selectivity *= p.Selectivity
+		if c.NeighborMask(p.Left).Test(p.Right) {
 			continue
 		}
-		index[key] = len(g.edges)
+		c.NeighborMask(p.Left).Set(p.Right)
+		c.NeighborMask(p.Right).Set(p.Left)
 		g.edges = append(g.edges, Edge{
 			From:         p.Left,
 			To:           p.Right,
@@ -65,16 +67,27 @@ func New(q *catalog.Query) *Graph {
 			ToHist:       p.RightHist,
 		})
 	}
-	g.buildAdjacency()
 	g.buildCSR()
+	if len(g.edges) < len(q.Predicates) {
+		g.mergeParallel(q)
+	}
 	return g
 }
 
-func (g *Graph) buildAdjacency() {
-	g.adj = make([][]int, g.n)
-	for ei, e := range g.edges {
-		g.adj[e.From] = append(g.adj[e.From], ei)
-		g.adj[e.To] = append(g.adj[e.To], ei)
+// mergeParallel multiplies every repeated predicate into its pair's
+// edge, in predicate order. Edges are numbered in the order their first
+// predicate appears, so a predicate whose edge is the next unclaimed
+// number is that first predicate, and any other is a repeat.
+func (g *Graph) mergeParallel(q *catalog.Query) {
+	firsts := 0
+	for _, p := range q.Predicates {
+		p.Normalize()
+		ei := g.edgeIndex(p.Left, p.Right)
+		if ei == firsts {
+			firsts++
+			continue
+		}
+		g.edges[ei].Selectivity *= p.Selectivity
 	}
 }
 
@@ -85,34 +98,37 @@ func (g *Graph) NumVertices() int { return g.n }
 func (g *Graph) Edges() []Edge { return g.edges }
 
 // Degree returns the number of relations that relation v joins with.
-func (g *Graph) Degree(v catalog.RelID) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v catalog.RelID) int { return int(g.csr.Off[v+1] - g.csr.Off[v]) }
 
 // Neighbors appends the neighbors of v to dst and returns it.
 func (g *Graph) Neighbors(v catalog.RelID, dst []catalog.RelID) []catalog.RelID {
-	for _, ei := range g.adj[v] {
-		e := g.edges[ei]
-		if e.From == v {
-			dst = append(dst, e.To)
-		} else {
-			dst = append(dst, e.From)
-		}
+	for _, w := range g.csr.Nbr[g.csr.Off[v]:g.csr.Off[v+1]] {
+		dst = append(dst, catalog.RelID(w))
 	}
 	return dst
 }
 
 // EdgeBetween returns the merged edge between u and v, if any.
 func (g *Graph) EdgeBetween(u, v catalog.RelID) (Edge, bool) {
-	// Scan the shorter adjacency list.
-	if len(g.adj[u]) > len(g.adj[v]) {
-		u, v = v, u
-	}
-	for _, ei := range g.adj[u] {
-		e := g.edges[ei]
-		if (e.From == u && e.To == v) || (e.From == v && e.To == u) {
-			return e, true
-		}
+	if ei := g.edgeIndex(u, v); ei >= 0 {
+		return g.edges[ei], true
 	}
 	return Edge{}, false
+}
+
+// edgeIndex returns the index of the edge between u and v, or -1,
+// scanning the shorter incidence list.
+func (g *Graph) edgeIndex(u, v catalog.RelID) int {
+	if g.Degree(u) > g.Degree(v) {
+		u, v = v, u
+	}
+	c := &g.csr
+	for k := c.Off[u]; k < c.Off[u+1]; k++ {
+		if catalog.RelID(c.Nbr[k]) == v {
+			return int(c.EdgeIdx[k])
+		}
+	}
+	return -1
 }
 
 // Connected reports whether u and v share an edge.
@@ -131,33 +147,32 @@ func (g *Graph) JoinsInto(v catalog.RelID, set Bitset) bool {
 
 // Components returns the connected components of the graph, each as a
 // sorted slice of relation IDs. Components are ordered by their smallest
-// member.
+// member. All of them are cut from one array, each capped at its own
+// length, so appending to one cannot overwrite the next.
 func (g *Graph) Components() [][]catalog.RelID {
-	seen := make([]bool, g.n)
+	seen := NewBitset(g.n)
+	all := make([]catalog.RelID, 0, g.n)
 	var comps [][]catalog.RelID
-	queue := make([]catalog.RelID, 0, g.n)
-	var nbuf []catalog.RelID
-	for start := 0; start < g.n; start++ {
-		if seen[start] {
+	for start := catalog.RelID(0); int(start) < g.n; start++ {
+		if seen.Test(start) {
 			continue
 		}
-		seen[start] = true
-		queue = queue[:0]
-		queue = append(queue, catalog.RelID(start))
-		comp := []catalog.RelID{catalog.RelID(start)}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			nbuf = g.Neighbors(v, nbuf[:0])
-			for _, w := range nbuf {
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-					comp = append(comp, w)
+		// all[lo:] is the breadth-first queue and, once it drains, the
+		// component.
+		lo := len(all)
+		seen.Set(start)
+		all = append(all, start)
+		for head := lo; head < len(all); head++ {
+			v := all[head]
+			for _, w := range g.csr.Nbr[g.csr.Off[v]:g.csr.Off[v+1]] {
+				if !seen.Test(catalog.RelID(w)) {
+					seen.Set(catalog.RelID(w))
+					all = append(all, catalog.RelID(w))
 				}
 			}
 		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+		comp := all[lo:len(all):len(all)]
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -216,15 +231,12 @@ func (g *Graph) MinimumSpanningTree(root catalog.RelID, weight WeightFunc) *Tree
 	}
 	best := make([]cand, g.n)
 	relax := func(v catalog.RelID) {
-		for _, ei := range g.adj[v] {
-			e := g.edges[ei]
-			other := e.From
-			if other == v {
-				other = e.To
-			}
+		for k := g.csr.Off[v]; k < g.csr.Off[v+1]; k++ {
+			other := catalog.RelID(g.csr.Nbr[k])
 			if inTree[other] {
 				continue
 			}
+			e := g.edges[g.csr.EdgeIdx[k]]
 			w := weight(e)
 			if !best[other].ok || w < best[other].w {
 				best[other] = cand{edge: e, parent: v, w: w, ok: true}

@@ -113,3 +113,21 @@ func BenchmarkAppend(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEncodeSnapshot renders a 4096-entry snapshot, the bytes
+// Store.Snapshot writes and GET /snapshot ships: one buffer, sized
+// exactly by recordLen before any record is written.
+func BenchmarkEncodeSnapshot(b *testing.B) {
+	entries := make([]*plancache.Entry, 4096)
+	for i := range entries {
+		entries[i] = testEntry(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchBytes = EncodeSnapshot(entries)
+	}
+	b.SetBytes(int64(len(benchBytes)))
+}
+
+var benchBytes []byte

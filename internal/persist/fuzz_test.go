@@ -87,7 +87,7 @@ func FuzzJournalReplay(f *testing.F) {
 // whose every entry round-trips bit-exactly — exactly the entries and
 // counts the single front-to-back pass (replaySeq) finds.
 func FuzzOpenRecovery(f *testing.F) {
-	valid := encodeHeader(magicJournal)
+	valid := appendHeader(nil, magicJournal)
 	for i := 0; i < 2; i++ {
 		valid = appendFrame(valid, encodeEntry(testEntry(i)))
 	}

@@ -218,7 +218,7 @@ func (s *Store) Append(e *plancache.Entry) (sinceSnapshot int, err error) {
 	if e == nil || e.Plan == nil {
 		return 0, fmt.Errorf("persist: nil entry")
 	}
-	frame := appendFrame(nil, encodeEntry(e))
+	frame := appendEntry(make([]byte, 0, recordLen(e)), e)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.journal == nil {
@@ -306,7 +306,7 @@ func (s *Store) resetJournalLocked() error {
 	if err != nil {
 		return fmt.Errorf("persist: create journal temp: %w", err)
 	}
-	if _, err := f.Write(encodeHeader(magicJournal)); err != nil {
+	if _, err := f.Write(appendHeader(nil, magicJournal)); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("persist: write journal header: %w", err)
 	}

@@ -280,7 +280,7 @@ func TestForeignFileRefused(t *testing.T) {
 func TestTornHeaderTreatedAsEmpty(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("cache/plans.journal")
-	if _, err := f.Write(encodeHeader(magicJournal)[:5]); err != nil {
+	if _, err := f.Write(appendHeader(nil, magicJournal)[:5]); err != nil {
 		t.Fatal(err)
 	}
 	_ = f.Close()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
 
 	"joinopt/internal/catalog"
@@ -91,15 +92,13 @@ var ErrSchemaMismatch = errors.New("persist: file written under a different sche
 // the first corrupt record rather than surfacing the error.
 var errCorrupt = errors.New("persist: corrupt record")
 
-// encodeHeader renders the 12-byte file header for the given magic.
-func encodeHeader(magic [4]byte) []byte {
-	h := make([]byte, headerLen)
-	copy(h[0:4], magic[:])
-	h[4] = formatVersion
-	h[5] = fingerprint.SchemaVersion
-	// h[6:8] reserved, zero.
-	binary.LittleEndian.PutUint32(h[8:12], crc32.Checksum(h[:8], crcTable))
-	return h
+// appendHeader appends the 12-byte file header for the given magic.
+func appendHeader(dst []byte, magic [4]byte) []byte {
+	at := len(dst)
+	dst = append(dst, magic[:]...)
+	// Two reserved bytes, zero.
+	dst = append(dst, formatVersion, fingerprint.SchemaVersion, 0, 0)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[at:], crcTable))
 }
 
 // checkHeader validates a file's header. Returns:
@@ -138,21 +137,15 @@ func checkHeader(data []byte, magic [4]byte) (ok bool, err error) {
 	return true, nil
 }
 
-// appendFrame appends one framed record (length, crc, payload) to dst.
-func appendFrame(dst, payload []byte) []byte {
-	var f [frameLen]byte
-	binary.LittleEndian.PutUint32(f[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(f[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, f[:]...)
-	return append(dst, payload...)
-}
-
-// encodeEntry renders one cache entry as a record payload.
-func encodeEntry(e *plancache.Entry) []byte {
+// appendEntry appends one cache entry to dst as a framed record
+// (length, crc, payload): the payload is written in place after a
+// placeholder frame, whose length and checksum are filled in last.
+func appendEntry(dst []byte, e *plancache.Entry) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, frameLen)...)
 	pl := e.Plan
-	buf := make([]byte, 0, 64+16*len(pl.Components))
-	buf = append(buf, e.Fingerprint[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.BudgetUsed))
+	dst = append(dst, e.Fingerprint[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.BudgetUsed))
 	var flags byte
 	if pl.Degraded {
 		flags |= 1
@@ -162,20 +155,44 @@ func encodeEntry(e *plancache.Entry) []byte {
 	// format/schema version bump needed; decoders rank zero as full via
 	// plancache.TierRank at the point of use).
 	flags |= (e.Tier & 3) << 1
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(len(pl.DegradeReason)))
-	buf = append(buf, pl.DegradeReason...)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pl.TotalCost))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pl.CrossCost))
-	buf = binary.AppendUvarint(buf, uint64(len(pl.Components)))
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, uint64(len(pl.DegradeReason)))
+	dst = append(dst, pl.DegradeReason...)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(pl.TotalCost))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(pl.CrossCost))
+	dst = binary.AppendUvarint(dst, uint64(len(pl.Components)))
 	for _, c := range pl.Components {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Cost))
-		buf = binary.AppendUvarint(buf, uint64(len(c.Perm)))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Cost))
+		dst = binary.AppendUvarint(dst, uint64(len(c.Perm)))
 		for _, r := range c.Perm {
-			buf = binary.AppendUvarint(buf, uint64(r))
+			dst = binary.AppendUvarint(dst, uint64(r))
 		}
 	}
-	return buf
+	payload := dst[at+frameLen:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.Checksum(payload, crcTable))
+	return dst
+}
+
+// recordLen returns the exact number of bytes appendEntry appends for
+// e, frame included.
+func recordLen(e *plancache.Entry) int {
+	pl := e.Plan
+	n := frameLen + fingerprint.Size + 8 + 1 +
+		uvarintLen(uint64(len(pl.DegradeReason))) + len(pl.DegradeReason) +
+		8 + 8 + uvarintLen(uint64(len(pl.Components)))
+	for _, c := range pl.Components {
+		n += 8 + uvarintLen(uint64(len(c.Perm)))
+		for _, r := range c.Perm {
+			n += uvarintLen(uint64(r))
+		}
+	}
+	return n
+}
+
+// uvarintLen returns the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // decoder is a bounds-checked cursor over one record payload.

@@ -32,12 +32,17 @@ var ErrTruncatedSnapshot = errors.New("persist: truncated or corrupt shipped sna
 // the bytes Store.Snapshot writes to disk and the /snapshot wire
 // payload alike. Nil entries and entries without plans are skipped.
 func EncodeSnapshot(entries []*plancache.Entry) []byte {
-	buf := encodeHeader(magicSnapshot)
+	size := headerLen
 	for _, e := range entries {
-		if e == nil || e.Plan == nil {
-			continue
+		if e != nil && e.Plan != nil {
+			size += recordLen(e)
 		}
-		buf = appendFrame(buf, encodeEntry(e))
+	}
+	buf := appendHeader(make([]byte, 0, size), magicSnapshot)
+	for _, e := range entries {
+		if e != nil && e.Plan != nil {
+			buf = appendEntry(buf, e)
+		}
 	}
 	return buf
 }

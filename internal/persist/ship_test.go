@@ -133,7 +133,7 @@ func TestShipSchemaMismatchRefused(t *testing.T) {
 func TestShipForeignMagicRefused(t *testing.T) {
 	// A journal file is a valid persist container but the wrong kind:
 	// shipping must not accept it as a snapshot.
-	data := encodeHeader(magicJournal)
+	data := appendHeader(nil, magicJournal)
 	data = appendFrame(data, encodeEntry(testEntry(1)))
 	if _, err := DecodeSnapshotStrict(data); err == nil {
 		t.Fatal("journal container accepted as shipped snapshot")
@@ -163,7 +163,7 @@ func hugePermRecord() []byte {
 // relations: a length longer than the bytes left in the record is
 // refused before anything is allocated for it.
 func TestShipHugePermLengthRefusedWithoutAllocating(t *testing.T) {
-	data := append(encodeHeader(magicSnapshot), hugePermRecord()...)
+	data := append(appendHeader(nil, magicSnapshot), hugePermRecord()...)
 	if len(data) != 90 {
 		t.Fatalf("payload is %d bytes, want 90", len(data))
 	}

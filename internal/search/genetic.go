@@ -90,9 +90,11 @@ func Genetic(s *Space, cfg GAConfig, onBest func(plan.Perm, float64)) (plan.Perm
 			child := s.crossover(a.perm, b.perm)
 			if s.rng.Float64() < cfg.MutationProb {
 				if m, _, ok := s.Neighbor(child); ok {
-					child = m
+					// m is the space's scratch candidate; child is a
+					// fresh crossover, so the mutation lands in it.
 					// Neighbor already priced it, but we don't have the
 					// value here; reprice below uniformly.
+					copy(child, m)
 				}
 			}
 			c := eval.Cost(child)

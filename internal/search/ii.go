@@ -64,7 +64,9 @@ func ImproveRunObserved(s *Space, cfg IIConfig, start plan.Perm, startCost float
 			tr.EmitCost(telemetry.EvMoveProposed, budget.Used(), nextCost, "")
 		}
 		if nextCost < curCost {
-			cur, curCost = next, nextCost
+			// next is the space's scratch candidate; onAccept may keep
+			// the accepted state, so it gets a copy of its own.
+			cur, curCost = next.Clone(), nextCost
 			rejects = 0
 			if tr != nil {
 				tr.EmitCost(telemetry.EvMoveAccepted, budget.Used(), curCost, "")

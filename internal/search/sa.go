@@ -107,7 +107,10 @@ func AnnealObserved(s *Space, cfg SAConfig, start plan.Perm, startCost float64, 
 			}
 			delta := nextCost - curCost
 			if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-				cur, curCost = next, nextCost
+				// cur is this run's own buffer and never escapes: only
+				// a new best is cloned out of it.
+				copy(cur, next)
+				curCost = nextCost
 				accepted++
 				if tr != nil {
 					tr.EmitCost(telemetry.EvMoveAccepted, budget.Used(), curCost, "")

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -100,12 +101,12 @@ func TestNeighborDoesNotMutateInput(t *testing.T) {
 }
 
 // TestNeighborResumedCostMatchesCost drives Neighbor the way every
-// caller does — accept the candidate, propose again from the same
-// state, switch to a state the space has never seen, return to an
-// older state, mutate a state in place — and checks each returned cost
-// against a full Cost on a second evaluator, bit for bit. It pins the
-// trail's keying: a trail reused for the wrong state shows up as a
-// cost mismatch.
+// caller does — accept (a clone of) the candidate, propose again from
+// the same state, switch to a state the space has never seen, return
+// to an older state, mutate a state in place — and checks each
+// returned cost against a full Cost on a second evaluator, bit for
+// bit. It pins the trail's keying: a trail reused for the wrong state
+// shows up as a cost mismatch.
 func TestNeighborResumedCostMatchesCost(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -124,7 +125,7 @@ func TestNeighborResumedCostMatchesCost(t *testing.T) {
 			}
 			switch k := rng.Intn(10); {
 			case ok && k < 5:
-				older, p = p, q
+				older, p = p, q.Clone()
 			case k == 5:
 				p = sp.RandomState()
 			case k == 6:
@@ -135,6 +136,74 @@ func TestNeighborResumedCostMatchesCost(t *testing.T) {
 				copy(p, q)
 			}
 		}
+	}
+}
+
+// TestNeighborOfItsOwnResult hands Neighbor its own last result, the
+// scratch candidate, and checks the walk against a twin space on the
+// same seed that is handed a clone instead: the same moves, the same
+// cost bits, each equal to a full Cost.
+func TestNeighborOfItsOwnResult(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		own := newSpace(rand.New(rand.NewSource(seed)), 4+int(seed), nil)
+		twin := newSpace(rand.New(rand.NewSource(seed)), 4+int(seed), nil)
+		own.SwapWeight, twin.SwapWeight = 0.5, 0.5
+		eval := own.Evaluator()
+		check := plan.NewEvaluator(eval.Stats(), eval.Model(), cost.Unlimited())
+		p, pt := own.RandomState(), twin.RandomState()
+		for step := 0; step < 200; step++ {
+			q, c, ok := own.Neighbor(p)
+			qt, ct, okt := twin.Neighbor(pt)
+			if ok != okt {
+				t.Fatalf("seed %d step %d: ok %v, twin %v", seed, step, ok, okt)
+			}
+			if !ok {
+				break
+			}
+			if !slices.Equal(q, qt) || math.Float64bits(c) != math.Float64bits(ct) {
+				t.Fatalf("seed %d step %d: %v at %v, twin %v at %v", seed, step, q, c, qt, ct)
+			}
+			if want := check.Cost(q); math.Float64bits(c) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d: priced %v at %v, Cost %v", seed, step, q, c, want)
+			}
+			p, pt = q, qt.Clone()
+		}
+	}
+}
+
+// TestNeighborAllocatesNothing pins the scratch contract: a proposal
+// allocates nothing, whether it starts from a state the space has seen
+// or from its own last result.
+func TestNeighborAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	sp := newSpace(rand.New(rand.NewSource(9)), 30, nil)
+	sp.SwapWeight = 0.5
+	p := sp.RandomState()
+	if a := testing.AllocsPerRun(200, func() { sp.Neighbor(p) }); a != 0 {
+		t.Fatalf("Neighbor from a fixed state: %v allocs/op, want 0", a)
+	}
+	q := p
+	if a := testing.AllocsPerRun(200, func() {
+		if next, _, ok := sp.Neighbor(q); ok {
+			q = next
+		}
+	}); a != 0 {
+		t.Fatalf("Neighbor from its own result: %v allocs/op, want 0", a)
+	}
+}
+
+// TestRandomStateAllocatesOnlyItsResult: the frontier scan and the
+// unplaced relations live in the space's scratch, so a random start
+// allocates the permutation it returns and nothing else.
+func TestRandomStateAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	sp := newSpace(rand.New(rand.NewSource(9)), 30, nil)
+	if a := testing.AllocsPerRun(100, func() { sp.RandomState() }); a != 1 {
+		t.Fatalf("RandomState: %v allocs/op, want 1", a)
 	}
 }
 

@@ -55,6 +55,10 @@ type Space struct {
 	// returns, it holds the candidate it priced.
 	scratch plan.Perm
 	inSet   joingraph.Bitset
+	// remaining and frontier are RandomState's scratch: the relations
+	// not yet placed, and the indices of those that join the prefix.
+	remaining plan.Perm
+	frontier  []int
 
 	// The pricing trail of the state moves are proposed from, keyed on
 	// its contents (base): baseTrail holds its first baseKnown
@@ -72,7 +76,7 @@ type Space struct {
 // NewSpace returns a search space over the given component relations.
 func NewSpace(eval *plan.Evaluator, rels []catalog.RelID, rng *rand.Rand) *Space {
 	n := len(rels)
-	perms := make(plan.Perm, 2*n)
+	perms := make(plan.Perm, 3*n)
 	trails := make([]float64, 4*n)
 	return &Space{
 		eval:         eval,
@@ -82,7 +86,9 @@ func NewSpace(eval *plan.Evaluator, rels []catalog.RelID, rng *rand.Rand) *Space
 		MaxProposals: 32,
 		scratch:      perms[:n:n],
 		inSet:        joingraph.NewBitset(eval.Stats().Query().NumRelations()),
-		base:         perms[n:n],
+		base:         perms[n : n : 2*n],
+		remaining:    perms[2*n : 2*n],
+		frontier:     make([]int, 0, n),
 		baseTrail:    plan.Trail{Size: trails[:n:n], Total: trails[n : 2*n : 2*n]},
 		candTrail:    plan.Trail{Size: trails[2*n : 3*n : 3*n], Total: trails[3*n:]},
 	}
@@ -113,7 +119,7 @@ func (s *Space) RandomState() plan.Perm {
 	s.inSet.Reset()
 	graph := s.eval.Stats().Graph()
 
-	remaining := append([]catalog.RelID(nil), s.rels...)
+	remaining := append(s.remaining[:0], s.rels...)
 	// Pick the first relation uniformly.
 	fi := s.rng.Intn(len(remaining))
 	first := remaining[fi]
@@ -128,7 +134,7 @@ func (s *Space) RandomState() plan.Perm {
 		// Frontier scans are adjacency work and debit the budget like
 		// any other per-relation check.
 		budget.Charge(int64(len(remaining)))
-		frontier := frontierIndices(graph, remaining, s.inSet, nil)
+		frontier := frontierIndices(graph, remaining, s.inSet, s.frontier[:0])
 		var pick int
 		if len(frontier) == 0 {
 			// Disconnected input (cross product inside the "component"):
@@ -161,7 +167,13 @@ func frontierIndices(g *joingraph.Graph, remaining []catalog.RelID, inSet joingr
 // Neighbor proposes a valid adjacent state of p and returns it with its
 // cost. It proposes up to MaxProposals random moves, keeping the first
 // valid one; ok is false if none was valid (or the component is too
-// small to move). The returned permutation is freshly allocated.
+// small to move).
+//
+// The returned permutation is the Space's scratch candidate: it stays
+// valid only until the next call, and a caller that keeps it (an
+// accepted move, an incumbent) must Clone it or copy it into storage
+// of its own. Each attempt is copied from the Space's own copy of p,
+// never from p, so p may be Neighbor's own last result.
 //
 // A move changes p only from some position low on, so the candidate is
 // priced from there: the Space keeps p's pricing trail and resumes the
@@ -178,9 +190,9 @@ func (s *Space) Neighbor(p plan.Perm) (q plan.Perm, cost float64, ok bool) {
 		return nil, 0, false
 	}
 	s.adopt(p)
+	cand := s.scratch[:n]
 	for attempt := 0; attempt < s.MaxProposals; attempt++ {
-		copy(s.scratch[:n], p)
-		cand := s.scratch[:n]
+		copy(cand, s.base)
 		var low int
 		if s.rng.Float64() < s.SwapWeight {
 			low = s.applySwap(cand)
@@ -190,8 +202,7 @@ func (s *Space) Neighbor(p plan.Perm) (q plan.Perm, cost float64, ok bool) {
 		if !s.eval.ValidSuffixFrom(cand, low) {
 			continue
 		}
-		cost = s.priceCandidate(cand, low)
-		return cand.Clone(), cost, true
+		return cand, s.priceCandidate(cand, low), true
 	}
 	return nil, 0, false
 }

@@ -537,8 +537,8 @@ var errNoPlan = errors.New("serve: no plan produced")
 // ctx.Err() when the caller's deadline did; map them with
 // optimizeFailure for HTTP responses.
 func (s *Server) OptimizeQuery(ctx context.Context, q *catalog.Query) (*OptimizeResponse, error) {
-	// Canonical (not CanonicalQuery) keeps the hit path lean: the
-	// canonical *relabeling* — a full clone plus renumbering — is only
+	// Canonical alone keeps the hit path lean: the canonical
+	// *relabeling* (Relabel, a full copy plus renumbering) is only
 	// needed to feed the optimizer, so computeEntry builds it inside the
 	// miss closure. A cache hit pays for fingerprinting alone.
 	fp, order := fingerprint.Canonical(q)

@@ -117,7 +117,8 @@ func TestTieredEscalation(t *testing.T) {
 	for i := 0; i+1 < 4; i++ {
 		q.Predicates = append(q.Predicates, catalog.Predicate{Left: catalog.RelID(i), Right: catalog.RelID(i + 1), Selectivity: 1})
 	}
-	_, _, cq := fingerprint.CanonicalQuery(q)
+	_, order := fingerprint.Canonical(q)
+	cq := fingerprint.Relabel(q, order)
 	g, err := greedy.New(cq, s.cfg.Model)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +247,8 @@ func TestTieredAdmittedEntryUpgradesOnce(t *testing.T) {
 	body := queryBody(t, q)
 	weight := cost.UnitsFor(s.cfg.TCoeff, 20)
 
-	_, _, cq := fingerprint.CanonicalQuery(q)
+	_, order := fingerprint.Canonical(q)
+	cq := fingerprint.Relabel(q, order)
 	g, err := greedy.New(cq, s.cfg.Model)
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +467,8 @@ func BenchmarkOptimizeTieredMiss(b *testing.B) {
 // at weight, to occupy a cache slot.
 func residentEntry(tb testing.TB, q *catalog.Query, weight int64) *plancache.Entry {
 	tb.Helper()
-	fp, _, cq := fingerprint.CanonicalQuery(q)
+	fp, order := fingerprint.Canonical(q)
+	cq := fingerprint.Relabel(q, order)
 	g, err := greedy.New(cq, cost.NewMemoryModel())
 	if err != nil {
 		tb.Fatal(err)
