@@ -23,8 +23,9 @@
 // The client talks to one daemon. Failing over across daemons is the
 // cluster router's job (internal/cluster walks ring successors), and
 // so is the codec on the internal peer hop: the router always sends
-// the binary wire protocol, while JSON remains the public edge codec
-// for ljqopt and other external callers.
+// the binary wire protocol, with its canonical hint, through
+// OptimizeCanonical, while JSON remains the public edge codec for
+// ljqopt and other external callers.
 package client
 
 import (
@@ -43,6 +44,7 @@ import (
 	"time"
 
 	"joinopt/internal/catalog"
+	"joinopt/internal/fingerprint"
 	"joinopt/internal/qfile"
 	"joinopt/internal/serve"
 	"joinopt/internal/telemetry"
@@ -125,8 +127,9 @@ type Config struct {
 	// Optimize: the query ships as a length-prefixed binary frame and
 	// the response is requested in the same codec via Accept. There is
 	// no JSON fallback: every ljqd speaks both codecs, so a 4xx on a
-	// binary request is the daemon's verdict on the query. The cluster
-	// router forces it on for every peer hop.
+	// binary request is the daemon's verdict on the query.
+	// OptimizeCanonical, the cluster router's peer hop, always speaks
+	// it.
 	Wire bool
 	// Breaker tunes the circuit breaker.
 	Breaker BreakerConfig
@@ -260,6 +263,15 @@ func (c *Client) Optimize(ctx context.Context, q *catalog.Query) (*serve.Optimiz
 		return nil, fmt.Errorf("client: encode query: %w", err)
 	}
 	return c.optimize(ctx, body, "/optimize", "application/json", "")
+}
+
+// OptimizeCanonical is Optimize over the binary wire protocol with q's
+// canonical fingerprint and order, as fingerprint.Canonical(q) returns
+// them, framed ahead of the query: the daemon can then answer a cache
+// hit without canonicalizing q itself. The cluster router sends every
+// peer hop through it, whatever Config.Wire says.
+func (c *Client) OptimizeCanonical(ctx context.Context, q *catalog.Query, fp fingerprint.Fingerprint, order []catalog.RelID) (*serve.OptimizeResponse, error) {
+	return c.optimize(ctx, wire.EncodeCanonicalQuery(fp, order, q), "/optimize", wire.ContentType, wire.ContentType)
 }
 
 func (c *Client) optimize(ctx context.Context, body []byte, path, contentType, accept string) (*serve.OptimizeResponse, error) {

@@ -39,9 +39,10 @@ type RouterConfig struct {
 	// inside the client is DISABLED (double-breaking would make one
 	// peer's cooldown unobservable to routing). ShedFailFast is forced
 	// on (a shedding peer should cause immediate failover to the next
-	// candidate, not an in-line Retry-After sleep) and Wire is forced on
-	// (every peer speaks the binary codec; JSON is for the public edge
-	// only).
+	// candidate, not an in-line Retry-After sleep). Wire does not
+	// apply: every hop goes through Client.OptimizeCanonical, which
+	// speaks the binary codec and carries the canonical hint; JSON is
+	// for the public edge only.
 	Client client.Config
 	// Metrics, when set, receives per-peer routing counters, breaker
 	// churn, health gauges and the per-peer client resilience stats.
@@ -154,12 +155,10 @@ func (r *Router) ensurePeerLocked(peer string) error {
 	// invisibly to routing. ShedFailFast: a peer that answers 429/503 is
 	// alive but refusing work — the router fails over to the next ring
 	// successor immediately instead of camping on the shedding peer's
-	// Retry-After. Wire: the hop is internal, so it always takes the
-	// binary codec.
+	// Retry-After.
 	br := client.NewBreaker(ccfg.Breaker, ccfg.Now)
 	ccfg.Breaker = client.BreakerConfig{Threshold: -1}
 	ccfg.ShedFailFast = true
-	ccfg.Wire = true
 	c, err := client.New(ccfg)
 	if err != nil {
 		return fmt.Errorf("cluster: peer %s: %w", peer, err)
@@ -237,8 +236,11 @@ func (r *Router) Stats() RouterStats {
 
 // Optimize routes q down the degradation ladder: the primary peer,
 // then its ring successors one at a time (skipping open breakers),
-// then local compute. The returned error is only ever the caller's own
-// (4xx APIError, a dead context) or — with no local rung — ErrNoPeers.
+// then local compute. Each peer hop carries the canonical fingerprint
+// and order that picked the peer, so the peer can answer a hit without
+// canonicalizing q again. The returned error is only ever the caller's
+// own (4xx APIError, a dead context) or — with no local rung —
+// ErrNoPeers.
 func (r *Router) Optimize(ctx context.Context, q *catalog.Query) (*serve.OptimizeResponse, error) {
 	fp, order := fingerprint.Canonical(q)
 	ep := r.epoch.Load() // one load: this request's consistent (ring, epoch) pair
@@ -252,7 +254,7 @@ func (r *Router) Optimize(ctx context.Context, q *catalog.Query) (*serve.Optimiz
 			r.breakerSkips.Add(1)
 			continue
 		}
-		resp, err := st.client.Optimize(ctx, q)
+		resp, err := st.client.OptimizeCanonical(ctx, q, fp, order)
 		if err == nil {
 			st.breaker.Success()
 			st.routes.Add(1)

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -119,10 +121,15 @@ func TestRouterAffinityAndRepeatHit(t *testing.T) {
 }
 
 // TestRouterHopSpeaksWire: a router built with a zero-value Client
-// template still sends the binary wire codec on every peer hop, and the
-// routed answer matches the same query's answer through the JSON edge.
+// template still sends the binary wire codec on every peer hop, each
+// hop's body opens with the canonical frame of fingerprint.Canonical(q),
+// and the routed answer matches the same query's answer through the
+// JSON edge.
 func TestRouterHopSpeaksWire(t *testing.T) {
-	type hop struct{ contentType, accept string }
+	type hop struct {
+		contentType, accept string
+		body                []byte
+	}
 	var (
 		mu   sync.Mutex
 		hops []hop
@@ -132,8 +139,13 @@ func TestRouterHopSpeaksWire(t *testing.T) {
 		inner := serve.New(serve.Config{TCoeff: 1}).Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/optimize" {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
 				mu.Lock()
-				hops = append(hops, hop{r.Header.Get("Content-Type"), r.Header.Get("Accept")})
+				hops = append(hops, hop{r.Header.Get("Content-Type"), r.Header.Get("Accept"), body})
 				mu.Unlock()
 			}
 			inner.ServeHTTP(w, r)
@@ -159,6 +171,9 @@ func TestRouterHopSpeaksWire(t *testing.T) {
 	}
 	if h := got[0]; h.contentType != wire.ContentType || h.accept != wire.ContentType {
 		t.Fatalf("peer hop Content-Type %q Accept %q, want %q for both", h.contentType, h.accept, wire.ContentType)
+	}
+	if cfp, corder := fingerprint.Canonical(q); !bytes.HasPrefix(got[0].body, wire.AppendCanonical(nil, cfp, corder)) {
+		t.Fatalf("peer hop body does not open with the canonical frame of %x %v", cfp, corder)
 	}
 
 	fp := fingerprint.Of(q)

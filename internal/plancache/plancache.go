@@ -239,31 +239,27 @@ func (c *Cache) shardIndex(k Key) uint64 {
 	return (uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 | uint64(k[3])<<24) & c.mask
 }
 
-// Get returns the cached entry, if present, bumping its recency.
+// Get returns the cached entry, if present, bumping its recency. A hit
+// counts as GetOrCompute's does; a miss counts nothing, so a caller
+// that falls back to GetOrCompute after a miss counts it once.
 //
 //ljqlint:hotpath
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	s := c.shardOf(k)
 	s.mu.Lock()
 	n, ok := s.items[k]
-	var e *Entry
-	if ok {
-		s.moveFront(n)
-		e = n.entry // insertLocked replaces it under the lock
+	if !ok {
+		s.mu.Unlock()
+		return nil, false
 	}
+	s.moveFront(n)
+	e := n.entry // insertLocked replaces it under the lock
 	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		if tr := c.trace; tr != nil {
-			tr.Emit(telemetry.EvCacheHit, e.BudgetUsed, "")
-		}
-		return e, true
-	}
-	c.misses.Add(1)
+	c.hits.Add(1)
 	if tr := c.trace; tr != nil {
-		tr.Emit(telemetry.EvCacheMiss, 0, "")
+		tr.Emit(telemetry.EvCacheHit, e.BudgetUsed, "")
 	}
-	return nil, false
+	return e, true
 }
 
 // Peek returns the cached entry without bumping recency or touching

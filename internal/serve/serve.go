@@ -51,12 +51,14 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"joinopt/internal/analysis/invariant"
 	"joinopt/internal/catalog"
 	"joinopt/internal/core"
 	"joinopt/internal/cost"
@@ -71,11 +73,11 @@ import (
 )
 
 // Config tunes a Server. The zero value selects production-ish
-// defaults (IAI, memory model, t=9, 1 MiB bodies, 256 join-units of
+// defaults (II, memory model, t=9, 1 MiB bodies, 256 join-units of
 // concurrency, 1s queue deadline, 30s request deadline).
 type Config struct {
-	// Method is the optimization strategy (default IAI, the paper's
-	// overall winner).
+	// Method is the optimization strategy. The zero value is core.II;
+	// ljqd's -method flag defaults to IAI, the paper's overall winner.
 	Method core.Method
 	// Model prices joins (default the memory model). Models must be
 	// stateless/goroutine-safe, as the stock ones are.
@@ -458,7 +460,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 
-	q, err := decodeQuery(r, s.cfg.MaxBodyBytes)
+	q, hint, err := decodeQuery(r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		if errors.Is(err, catalog.ErrTooLarge) {
 			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
@@ -466,6 +468,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if entry := s.hintedHit(q, hint); entry != nil {
+		respond(w, r, &answer{q: q, order: hint.Order, fp: hint.Fingerprint, entry: entry, hit: true})
 		return
 	}
 
@@ -483,6 +489,43 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	respond(w, r, &answer{q: q, order: order, fp: fp, entry: entry, hit: hit, shared: shared})
+}
+
+// hintedHit returns the entry that answers q from the canonical hint a
+// router framed ahead of it, or nil when there is no hint, when its
+// order does not cover q's relations, or when the cache holds no entry
+// under its fingerprint whose plan covers exactly q's relations; the
+// caller then canonicalizes q itself. The hint is only a lookup key: a
+// miss, a coalesced wait, an insert, an upgrade and the journal all
+// run on the handler's own fingerprint, so a wrong hint can at worst
+// mislabel its own sender's answer with a plan GET /snapshot serves.
+func (s *Server) hintedHit(q *catalog.Query, hint wire.Canonical) *plancache.Entry {
+	// The order is a permutation of 0..n−1, as wire.SplitCanonical
+	// checked; with no hint it is empty, and a decoded query is not.
+	n := len(hint.Order)
+	if n != len(q.Relations) {
+		return nil
+	}
+	entry, ok := s.cache.Get(hint.Fingerprint)
+	if !ok || !covers(entry.Plan, n) {
+		return nil
+	}
+	if invariant.Enabled {
+		fp, order := fingerprint.Canonical(q)
+		invariant.Assert(fp == hint.Fingerprint && slices.Equal(order, hint.Order),
+			"serve: canonical hint %x %v differs from the query's own %x %v", hint.Fingerprint, hint.Order, fp[:], order)
+	}
+	return entry
+}
+
+// covers reports whether pl's components hold n positions: an entry's
+// plan holds each of its shape's positions once, so an order of n
+// relations then translates every one.
+func covers(pl *plan.Plan, n int) bool {
+	for _, c := range pl.Components {
+		n -= len(c.Perm)
+	}
+	return n == 0
 }
 
 // wireSubtype is the distinctive part of wire.ContentType that request
@@ -800,8 +843,10 @@ func translatePlan(pl *plan.Plan, order []catalog.RelID) *plan.Plan {
 // Content-Type containing "x-ljq-wire" selects the binary wire codec.
 // The body is read once, through catalog.CapReader, for every codec:
 // an oversized body surfaces as catalog.ErrTooLarge (→ 413), never as
-// a silently truncated parse.
-func decodeQuery(r *http.Request, maxBytes int64) (*catalog.Query, error) {
+// a silently truncated parse. A wire body may open with a canonical
+// frame (wire.SplitCanonical), which is returned as the hint; every
+// other body returns a zero hint.
+func decodeQuery(r *http.Request, maxBytes int64) (q *catalog.Query, hint wire.Canonical, err error) {
 	var format string
 	if r.URL.RawQuery != "" {
 		format = r.URL.Query().Get("format")
@@ -812,7 +857,7 @@ func decodeQuery(r *http.Request, maxBytes int64) (*catalog.Query, error) {
 	switch format {
 	case "", "dsl", "json", "wire":
 	default:
-		return nil, fmt.Errorf("serve: unknown format %q (want dsl, json or wire)", format)
+		return nil, hint, fmt.Errorf("serve: unknown format %q (want dsl, json or wire)", format)
 	}
 	// Every decoder copies what it keeps out of the body, so the
 	// buffer goes back to the pool once decoding returns.
@@ -824,16 +869,19 @@ func decodeQuery(r *http.Request, maxBytes int64) (*catalog.Query, error) {
 	}()
 	buf.Reset()
 	if _, err := buf.ReadFrom(catalog.CapReader(r.Body, maxBytes)); err != nil {
-		return nil, err
+		return nil, hint, err
 	}
 	switch body := buf.Bytes(); {
 	case isWire:
-		return wire.DecodeQuery(body)
+		if hint, body, err = wire.SplitCanonical(body); err == nil {
+			q, err = wire.DecodeQuery(body)
+		}
 	case isDSL:
-		return qdsl.Parse(bytes.NewReader(body))
+		q, err = qdsl.Parse(bytes.NewReader(body))
 	default:
-		return qfile.Decode(body)
+		q, err = qfile.Decode(body)
 	}
+	return q, hint, err
 }
 
 // bodyBufPool holds request-body buffers for decodeQuery.

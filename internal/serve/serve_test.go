@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"joinopt/internal/catalog"
+	"joinopt/internal/core"
 	"joinopt/internal/plancache"
 	"joinopt/internal/qfile"
 	"joinopt/internal/telemetry"
@@ -443,7 +444,8 @@ func BenchmarkOptimizeCacheHit(b *testing.B) {
 }
 
 // BenchmarkOptimizeMiss prices the cold path end to end (small query,
-// small budget) for comparison with the hit path.
+// small budget) for comparison with the hit path, searching with IAI
+// as ljqd does.
 func BenchmarkOptimizeMiss(b *testing.B) {
 	q := workload.Default().Generate(10, rand.New(rand.NewSource(6)))
 	var buf bytes.Buffer
@@ -455,7 +457,7 @@ func BenchmarkOptimizeMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := New(Config{TCoeff: 1, CacheHandle: plancache.New(plancache.Config{Capacity: 8})})
+		s := New(Config{Method: core.IAI, TCoeff: 1, CacheHandle: plancache.New(plancache.Config{Capacity: 8})})
 		h := s.Handler()
 		b.StartTimer()
 		req := httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body))

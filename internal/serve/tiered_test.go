@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"joinopt/internal/catalog"
+	"joinopt/internal/core"
 	"joinopt/internal/cost"
 	"joinopt/internal/fingerprint"
 	"joinopt/internal/greedy"
@@ -423,8 +424,9 @@ func statusz(t *testing.T, base string) StatusResponse {
 
 // BenchmarkOptimizeTieredMiss prices a tiered cold miss of the 20-join
 // smoke query end to end, together with the background upgrade it
-// schedules, if any: WaitUpgrades runs inside the timed region. Each op
-// starts from a fresh server. admitted misses into an empty cost-aware
+// schedules, if any: WaitUpgrades runs inside the timed region. The
+// upgrade searches with IAI, as ljqd's does. Each op starts from a
+// fresh server. admitted misses into an empty cost-aware
 // cache; refused misses into a full one-entry shard whose resident
 // entry outweighs the Tier-1 entry, so admission refuses it and no
 // upgrade runs.
@@ -448,7 +450,7 @@ func BenchmarkOptimizeTieredMiss(b *testing.B) {
 				if bc.resident != nil && !cache.Put(bc.resident) {
 					b.Fatal("resident entry refused")
 				}
-				s := New(Config{Tiered: true, CacheHandle: cache})
+				s := New(Config{Method: core.IAI, Tiered: true, CacheHandle: cache})
 				h := s.Handler()
 				b.StartTimer()
 				req := httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body))

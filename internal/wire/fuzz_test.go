@@ -20,6 +20,8 @@ func fuzzSeeds(f *testing.F, kind byte) {
 		switch kind {
 		case KindQuery:
 			f.Add(EncodeQuery(q))
+			c := testCanonical(q, rng)
+			f.Add(EncodeCanonicalQuery(c.Fingerprint, c.Order, q))
 		case KindResponse:
 			f.Add(EncodeResponse(&Response{
 				Fingerprint: "00ff",
@@ -37,13 +39,26 @@ func fuzzSeeds(f *testing.F, kind byte) {
 	f.Add([]byte{})
 }
 
-// FuzzWireDecode: arbitrary bytes through both decoders. The only
-// acceptable outcomes are a clean error or a successful parse — never a
-// panic, never an unbounded allocation (the count guards cap every
-// slice at the payload size).
+// FuzzWireDecode: arbitrary bytes through both decoders and the
+// canonical frame splitter. The only acceptable outcomes are a clean
+// error or a successful parse — never a panic, never an unbounded
+// allocation (the count guards cap every slice at the payload size).
 func FuzzWireDecode(f *testing.F) {
 	fuzzSeeds(f, KindQuery)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if c, rest, err := SplitCanonical(data); err == nil {
+			if 4*cap(c.Order) > len(data)-len(rest) {
+				t.Fatalf("an order of %d relations allocated from a %d-byte frame", cap(c.Order), len(data)-len(rest))
+			}
+			seen := make([]bool, len(c.Order))
+			for _, v := range c.Order {
+				if v < 0 || int(v) >= len(seen) || seen[v] {
+					t.Fatalf("split order %v is not a permutation", c.Order)
+				}
+				seen[v] = true
+			}
+			_, _ = DecodeQuery(rest)
+		}
 		if q, err := DecodeQuery(data); err == nil {
 			// Whatever decoded must satisfy the same invariants the JSON
 			// boundary enforces.
@@ -55,15 +70,21 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// FuzzWireRoundTrip: any input both decoders accept must be a fixed
-// point of decode∘encode — re-encoding the decoded value and decoding
-// again reproduces identical bytes and an equal value. This is the
-// property that makes the binary cache-hit path safe: two encodings of
-// the same (normalized) query cannot diverge.
+// FuzzWireRoundTrip: appending a canonical frame the splitter split
+// reproduces its bytes, and any input both decoders accept must be a
+// fixed point of decode∘encode — re-encoding the decoded value and
+// decoding again reproduces identical bytes and an equal value. This
+// is the property that makes the binary cache-hit path safe: two
+// encodings of the same (normalized) query cannot diverge.
 func FuzzWireRoundTrip(f *testing.F) {
 	fuzzSeeds(f, KindQuery)
 	fuzzSeeds(f, KindResponse)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if c, rest, err := SplitCanonical(data); err == nil && len(rest) < len(data) {
+			if !bytes.Equal(AppendCanonical(nil, c.Fingerprint, c.Order), data[:len(data)-len(rest)]) {
+				t.Fatal("appending a split canonical frame does not reproduce its bytes")
+			}
+		}
 		if q, err := DecodeQuery(data); err == nil {
 			enc := EncodeQuery(q)
 			q2, err := DecodeQuery(enc)

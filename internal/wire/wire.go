@@ -5,9 +5,13 @@
 // Frame layout (all multi-byte integers little-endian):
 //
 //	magic   4 bytes  "LJW1"
-//	kind    1 byte   1 = query, 2 = response
-//	length  u32      payload byte count (exactly the remaining bytes)
+//	kind    1 byte   1 = query, 2 = response, 3 = canonical
+//	length  u32      payload byte count
 //	payload …
+//
+// A request body is one query frame, optionally preceded by one
+// canonical frame; a response body is one response frame. The body
+// ends exactly where its last frame's payload does.
 //
 // Query payload:
 //
@@ -17,6 +21,18 @@
 //	per predicate: u32 left · u32 right · f64 leftDistinct ·
 //	  f64 rightDistinct · f64 selectivity · 2 × histogram
 //	histogram: u8 present; if present: u64 domain · u32 nCounts · f64 each
+//
+// Canonical payload:
+//
+//	32 bytes fingerprint · u32 nOrder · u32 each
+//
+// A canonical frame carries the query's canonical fingerprint and
+// order (fingerprint.Canonical), which the cluster router computed to
+// pick the peer. The peer looks the fingerprint up and, on a hit whose
+// plan covers exactly the query's relations, answers through the order
+// without canonicalizing the query itself. Anything else falls through
+// to the peer's own canonicalization: the hint is a lookup key, never
+// a cache key. The order must be a permutation of 0..nOrder−1.
 //
 // Response payload:
 //
@@ -51,9 +67,11 @@ const (
 	magic      = "LJW1"
 	headerSize = len(magic) + 1 + 4 // magic + kind + payload length
 
-	// KindQuery / KindResponse are the frame kind discriminators.
-	KindQuery    = byte(1)
-	KindResponse = byte(2)
+	// KindQuery / KindResponse / KindCanonical are the frame kind
+	// discriminators.
+	KindQuery     = byte(1)
+	KindResponse  = byte(2)
+	KindCanonical = byte(3)
 )
 
 // ErrBadFrame reports a structurally invalid frame (wrong magic, kind,
@@ -191,6 +209,49 @@ func AppendQuery(dst []byte, q *catalog.Query) []byte {
 // EncodeQuery returns a freshly allocated query frame.
 func EncodeQuery(q *catalog.Query) []byte { return AppendQuery(nil, q) }
 
+// queryLen is the exact length of q's query frame.
+func queryLen(q *catalog.Query) int {
+	n := headerSize + 4 + 4 // the relation and predicate counts
+	for _, r := range q.Relations {
+		n += minRelationSize + len(r.Name) + 8*len(r.Selections)
+	}
+	for _, p := range q.Predicates {
+		n += minPredicateSize
+		for _, h := range [2]*catalog.Histogram{p.LeftHist, p.RightHist} {
+			if h != nil {
+				n += 8 + 4 + 8*len(h.Counts)
+			}
+		}
+	}
+	return n
+}
+
+// Canonical is a canonical frame's content: a query's canonical
+// fingerprint and order, as fingerprint.Canonical returns them.
+type Canonical struct {
+	Fingerprint [32]byte
+	Order       []catalog.RelID
+}
+
+// AppendCanonical appends a canonical frame for fp and order to dst.
+func AppendCanonical(dst []byte, fp [32]byte, order []catalog.RelID) []byte {
+	base := len(dst)
+	dst = StartFrame(dst, KindCanonical)
+	dst = append(dst, fp[:]...)
+	dst = AppendU32(dst, uint32(len(order)))
+	for _, r := range order {
+		dst = AppendU32(dst, uint32(r))
+	}
+	return FinishFrame(dst, base)
+}
+
+// EncodeCanonicalQuery returns a canonical frame for fp and order
+// followed by q's query frame, in one allocation of the exact size.
+func EncodeCanonicalQuery(fp [32]byte, order []catalog.RelID, q *catalog.Query) []byte {
+	dst := make([]byte, 0, headerSize+len(fp)+4+4*len(order)+queryLen(q))
+	return AppendQuery(AppendCanonical(dst, fp, order), q)
+}
+
 // AppendResponse appends a complete response frame to dst.
 func AppendResponse(dst []byte, r *Response) []byte {
 	base := len(dst)
@@ -317,6 +378,56 @@ func frame(data []byte, kind byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: payload length %d, frame carries %d bytes", ErrBadFrame, n, len(payload))
 	}
 	return payload, nil
+}
+
+// SplitCanonical splits a leading canonical frame off data and returns
+// its content and the bytes after it. When data does not start with a
+// canonical frame header it returns a zero Canonical and data itself;
+// a canonical frame that is malformed, or whose order is not a
+// permutation of 0..nOrder−1, is an ErrBadFrame.
+func SplitCanonical(data []byte) (Canonical, []byte, error) {
+	var c Canonical
+	if len(data) < headerSize || data[len(magic)] != KindCanonical || !IsFrame(data) {
+		return c, data, nil
+	}
+	n := int64(binary.LittleEndian.Uint32(data[len(magic)+1:]))
+	if n < int64(len(c.Fingerprint)) || n > int64(len(data)-headerSize) {
+		return c, data, fmt.Errorf("%w: canonical payload of %d bytes in a %d-byte body", ErrBadFrame, n, len(data))
+	}
+	end := headerSize + int(n)
+	r := &reader{b: data[:end], off: headerSize + copy(c.Fingerprint[:], data[headerSize:])}
+	c.Order = make([]catalog.RelID, r.count(4, "order"))
+	for i := range c.Order {
+		c.Order[i] = catalog.RelID(r.u32())
+	}
+	switch {
+	case r.err != nil:
+		return Canonical{}, data, r.err
+	case r.remaining() != 0:
+		return Canonical{}, data, fmt.Errorf("%w: %d trailing canonical payload bytes", ErrBadFrame, r.remaining())
+	case !isPermutation(c.Order):
+		return Canonical{}, data, fmt.Errorf("%w: canonical order is not a permutation", ErrBadFrame)
+	}
+	return c, data[end:], nil
+}
+
+// isPermutation reports whether order holds each of 0..len(order)−1
+// once. It marks each value seen by complementing the element at that
+// index, and undoes the marks before it returns true.
+func isPermutation(order []catalog.RelID) bool {
+	for _, v := range order {
+		if v < 0 {
+			v = ^v
+		}
+		if int(v) >= len(order) || order[v] < 0 {
+			return false
+		}
+		order[v] = ^order[v]
+	}
+	for i := range order {
+		order[i] = ^order[i]
+	}
+	return true
 }
 
 // minimum encoded sizes, used for count-vs-remaining guards.

@@ -198,3 +198,76 @@ func BenchmarkDecodeQuery60(b *testing.B) {
 		}
 	}
 }
+
+// testCanonical builds a canonical frame's content for q: a made-up
+// fingerprint and a random permutation of q's relations.
+func testCanonical(q *catalog.Query, rng *rand.Rand) Canonical {
+	var c Canonical
+	rng.Read(c.Fingerprint[:])
+	for _, v := range rng.Perm(len(q.Relations)) {
+		c.Order = append(c.Order, catalog.RelID(v))
+	}
+	return c
+}
+
+// TestCanonicalFrame: EncodeCanonicalQuery sizes its body exactly, and
+// SplitCanonical gives back the frame's content and the query frame
+// behind it byte for byte; a body without a canonical frame passes
+// through untouched with a zero Canonical.
+func TestCanonicalFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for qi, q := range testQueries(t) {
+		c := testCanonical(q, rng)
+		body := EncodeCanonicalQuery(c.Fingerprint, c.Order, q)
+		if len(body) != cap(body) {
+			t.Fatalf("query %d: body of %d bytes allocated %d", qi, len(body), cap(body))
+		}
+		got, rest, err := SplitCanonical(body)
+		if err != nil {
+			t.Fatalf("query %d: split: %v", qi, err)
+		}
+		if !reflect.DeepEqual(got, c) {
+			t.Fatalf("query %d: split %+v, want %+v", qi, got, c)
+		}
+		if !bytes.Equal(rest, EncodeQuery(q)) {
+			t.Fatalf("query %d: the bytes after the canonical frame are not the query frame", qi)
+		}
+		if !bytes.Equal(AppendCanonical(nil, c.Fingerprint, c.Order), body[:len(body)-len(rest)]) {
+			t.Fatalf("query %d: AppendCanonical differs from the split frame", qi)
+		}
+		plain := EncodeQuery(q)
+		got, rest, err = SplitCanonical(plain)
+		if err != nil || got.Order != nil || got.Fingerprint != [32]byte{} || &rest[0] != &plain[0] || len(rest) != len(plain) {
+			t.Fatalf("query %d: a plain query frame did not pass through: %+v, %d of %d bytes, %v", qi, got, len(rest), len(plain), err)
+		}
+	}
+}
+
+// TestSplitCanonicalRejectsMalformed: a canonical frame that is cut
+// short, claims more bytes than the body holds, carries trailing bytes
+// or an order that is not a permutation is an ErrBadFrame, and no
+// count is trusted past the payload.
+func TestSplitCanonicalRejectsMalformed(t *testing.T) {
+	valid := AppendCanonical(nil, [32]byte{1, 2, 3}, []catalog.RelID{2, 0, 1})
+	orderAt := headerSize + 32 // the order count
+	mangle := func(name string, f func(b []byte) []byte) {
+		t.Helper()
+		b := f(append([]byte(nil), valid...))
+		if c, _, err := SplitCanonical(b); !errors.Is(err, ErrBadFrame) || c.Order != nil {
+			t.Errorf("%s: split %+v, err = %v, want ErrBadFrame", name, c, err)
+		}
+	}
+	mangle("truncated payload", func(b []byte) []byte { return b[:len(b)-1] })
+	mangle("no fingerprint", func(b []byte) []byte { return FinishFrame(b[:headerSize+31], 0) })
+	mangle("length overruns body", func(b []byte) []byte { b[5] += 4; return b })
+	mangle("oversized frame", func(b []byte) []byte { b[8] = 0xff; return b })
+	mangle("trailing payload bytes", func(b []byte) []byte { return FinishFrame(append(b, 0), 0) })
+	mangle("giant order count", func(b []byte) []byte {
+		b[orderAt], b[orderAt+1], b[orderAt+2], b[orderAt+3] = 0xff, 0xff, 0xff, 0xff
+		return b
+	})
+	mangle("order count past the payload", func(b []byte) []byte { b[orderAt]++; return b })
+	mangle("repeated relation", func(b []byte) []byte { b[orderAt+8] = 2; return b })
+	mangle("relation out of range", func(b []byte) []byte { b[orderAt+4] = 3; return b })
+	mangle("relation past 2^31", func(b []byte) []byte { b[orderAt+7] = 0xff; return b })
+}
