@@ -1,22 +1,29 @@
 package greedy
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"joinopt/internal/catalog"
 	"joinopt/internal/cost"
 	"joinopt/internal/workload"
 )
 
 var benchSink float64
 
-// BenchmarkGreedyPlan20 is the Tier-1 steady-state number the ISSUE
-// pins: replanning the smoke workload's 20-join query (21 relations,
-// same generator seed as serve's TestSmokeEndToEnd) must stay under
-// 15µs with 0 allocs/op — the planner is built once and every Plan
-// call reuses its buffers. Budgeted in ALLOC_BUDGETS.json.
-func BenchmarkGreedyPlan20(b *testing.B) {
-	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
+// BenchmarkGreedyPlan20 is the Tier-1 steady-state number: replanning
+// the smoke workload's 20-join query (21 relations, same generator seed
+// as serve's TestSmokeEndToEnd) from its four smallest relations, with
+// 0 allocs/op — the planner is built once and every Plan call reuses
+// its buffers. Budgeted in ALLOC_BUDGETS.json.
+func BenchmarkGreedyPlan20(b *testing.B) { benchmarkPlan(b, 20) }
+
+// BenchmarkGreedyPlan100 is the same at the paper's largest N.
+func BenchmarkGreedyPlan100(b *testing.B) { benchmarkPlan(b, 100) }
+
+func benchmarkPlan(b *testing.B, joins int) {
+	q := workload.Default().Generate(joins, rand.New(rand.NewSource(42)))
 	p, err := New(q, cost.NewMemoryModel())
 	if err != nil {
 		b.Fatal(err)
@@ -32,8 +39,13 @@ func BenchmarkGreedyPlan20(b *testing.B) {
 // actually pays on a cache miss: construct the planner and plan once.
 // Construction allocates by design (CSR adjacency, scratch buffers);
 // the budget ceiling guards against accidental bloat, not zero.
-func BenchmarkGreedyColdPlan20(b *testing.B) {
-	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
+func BenchmarkGreedyColdPlan20(b *testing.B) { benchmarkColdPlan(b, 20) }
+
+// BenchmarkGreedyColdPlan100 is the same at the paper's largest N.
+func BenchmarkGreedyColdPlan100(b *testing.B) { benchmarkColdPlan(b, 100) }
+
+func benchmarkColdPlan(b *testing.B, joins int) {
+	q := workload.Default().Generate(joins, rand.New(rand.NewSource(42)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -42,6 +54,25 @@ func BenchmarkGreedyColdPlan20(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = p.Plan().TotalCost
+	}
+}
+
+// BenchmarkGreedyStart20 grows one order of BenchmarkGreedyPlan20's
+// query from its smallest relation: the per-start cost Plan pays up to
+// four times.
+func BenchmarkGreedyStart20(b *testing.B) {
+	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
+	p, err := New(q, cost.NewMemoryModel())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var starts [numStarts]catalog.RelID
+	lo, hi := int(p.compOff[0]), int(p.compOff[1])
+	p.smallest(p.comps[lo:hi], &starts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, benchSink, _ = p.grow(lo, hi, starts[0], math.Inf(1))
 	}
 }
 

@@ -5,37 +5,55 @@
 // background.
 //
 // The algorithm is the classic min-cost expansion over the join graph
-// (the "When Greedy Beats Optimal" recipe excerpted in SNIPPETS.md):
-// per connected component, start from the smallest relation and
-// repeatedly append the frontier-joinable relation whose next join is
-// cheapest under the cost model. Joins are sized by estimate.Stats —
-// distinct-value propagation and histograms included — with the
-// arithmetic plan.Evaluator prices with, so a component's cost equals
-// the evaluator's cost of its order bit for bit. Components are then
+// (the "When Greedy Beats Optimal" recipe excerpted in SNIPPETS.md),
+// run from several starts as the paper's augmentation heuristic does
+// (§4.1, Figure 3). Per connected component, an order grows from a
+// start relation by repeatedly appending the joinable relation whose
+// next join is cheapest under the cost model. Plan grows one order
+// from each of the component's four smallest relations, taken in
+// heuristics.Augmentation's first-relation order (effective
+// cardinality, then ID), and keeps the strictly cheapest; a tie keeps
+// the earlier start. A start is abandoned as soon as its running total
+// reaches the best complete total: join costs are non-negative, so it
+// can no longer win.
+//
+// Each step prices only the relations in the reach set, the OR of the
+// placed relations' join-graph neighbor masks minus the placed ones,
+// in ascending ID order. A relation outside it would be a cross
+// product, which a connected component never needs, so it is never
+// priced. Joins are sized by estimate.Stats — distinct-value
+// propagation and histograms included — with the arithmetic
+// plan.Evaluator prices with, so a component's cost equals the
+// evaluator's cost of its order bit for bit. Components are then
 // concatenated smallest-final-size-first with cross products priced
 // between them and their costs summed in that order, matching
 // plan.Assemble's postpone-cross-products total.
 //
 // Determinism: the planner is a pure function of (query, model). Ties
 // are broken by the lowest canonical relation ID (candidates are
-// scanned in ascending ID order and only a strictly cheaper join
-// displaces the incumbent pick), so two runs over the same canonical
+// priced in ascending ID order and only a strictly cheaper join
+// displaces the incumbent pick, as only a strictly cheaper order
+// displaces an earlier start's), so two runs over the same canonical
 // query produce byte-identical orders.
 //
 // Allocation discipline: New does all the allocating (join graph and
-// its CSR view, estimator statistics, bitset frontier, scratch and
-// result buffers); Plan is a //ljqlint:hotpath function that reuses
-// those buffers and returns a pointer into the planner.
+// its CSR view, estimator statistics, the placed and reach bitsets,
+// scratch and result buffers); Plan is a //ljqlint:hotpath function
+// that reuses those buffers and returns a pointer into the planner.
 // BenchmarkGreedyPlan20 carries a 0-allocs/op ceiling in
 // ALLOC_BUDGETS.json.
 //
 // The package deliberately does not charge a cost.Budget: greedy work
-// is bounded by construction (O(V·(V+E)) JoinCost calls), and the
-// Result's Work counter reports it after the fact.
+// is bounded by construction. A start over a component of V relations
+// prices at most V(V−1)/2 joins, so a plan makes at most
+// 4·V(V−1)/2 JoinCost calls per component, plus one per cross product,
+// and the Result's Work counter reports the exact count after the
+// fact.
 package greedy
 
 import (
 	"math"
+	"math/bits"
 
 	"joinopt/internal/catalog"
 	"joinopt/internal/cost"
@@ -94,6 +112,11 @@ func (r *Result) ToPlan() *plan.Plan {
 	return pl
 }
 
+// numStarts is how many of a component's smallest relations Plan grows
+// an order from. The plan-quality gate (quality_test.go) prices what a
+// different count would buy.
+const numStarts = 4
+
 // Planner is a reusable greedy planner for one query. Build with New
 // (which allocates everything Plan will ever need), then call Plan any
 // number of times. Not safe for concurrent use.
@@ -101,8 +124,8 @@ type Planner struct {
 	model cost.Model
 
 	// stats sizes every join, exactly as plan.Evaluator does; csr is
-	// its join graph's flat adjacency view, whose neighbor masks answer
-	// "does this candidate join the frontier?" with a word-AND.
+	// its join graph's flat adjacency view, whose neighbor masks grow
+	// the reach set.
 	stats *estimate.Stats
 	csr   *joingraph.CSR
 
@@ -111,17 +134,21 @@ type Planner struct {
 	comps   []catalog.RelID
 	compOff []int32
 
-	// frontier is the joined-so-far membership bitset, reused per
-	// component; scratch holds each component's greedy order in comps
-	// segmentation; segSize/segCost record each component's final size
-	// and summed join cost; segIdx is the combination-order sort
-	// permutation; order is the concatenated final order.
-	frontier joingraph.Bitset
-	scratch  []catalog.RelID
-	segSize  []float64
-	segCost  []float64
-	segIdx   []int
-	order    plan.Perm
+	// placed is the order-so-far membership bitset and reach the
+	// unplaced relations that join it, both reused per start. scratch
+	// holds each component's cheapest order and grown the order of the
+	// current start, both in comps segmentation; segSize/segCost record
+	// each component's final size and summed join cost; segIdx is the
+	// combination-order sort permutation; order is the concatenated
+	// final order.
+	placed  joingraph.Bitset
+	reach   joingraph.Bitset
+	scratch []catalog.RelID
+	grown   []catalog.RelID
+	segSize []float64
+	segCost []float64
+	segIdx  []int
+	order   plan.Perm
 
 	result Result
 	work   int64
@@ -148,8 +175,13 @@ func New(q *catalog.Query, model cost.Model) (*Planner, error) {
 		p.compOff = append(p.compOff, int32(len(p.comps)))
 	}
 
-	p.frontier = joingraph.NewBitset(n)
-	p.scratch = make([]catalog.RelID, n)
+	// The two bitsets and the two order lanes are each cut from one
+	// allocation.
+	words := (n + 63) >> 6
+	sets := make(joingraph.Bitset, 2*words)
+	p.placed, p.reach = sets[:words:words], sets[words:]
+	lanes := make([]catalog.RelID, 2*n)
+	p.scratch, p.grown = lanes[:n:n], lanes[n:]
 	p.segSize = make([]float64, len(comps))
 	p.segCost = make([]float64, len(comps))
 	p.segIdx = make([]int, len(comps))
@@ -209,58 +241,107 @@ func (p *Planner) Plan() *Result {
 	return r
 }
 
-// planComponent greedily orders component c into the scratch buffer,
-// recording its final size and summed join cost.
+// planComponent orders component c into the scratch buffer, recording
+// its final size and summed join cost: it grows an order from each of
+// the component's numStarts smallest relations and keeps the strictly
+// cheapest, the earliest start on a tie.
 //
 //ljqlint:hotpath
 func (p *Planner) planComponent(c int) {
 	a, b := int(p.compOff[c]), int(p.compOff[c+1])
-	p.frontier.Reset()
-	// Seed with the smallest relation (ascending scan + strict < means
-	// ties go to the lowest ID).
-	seed := p.comps[a]
-	for _, r := range p.comps[a+1 : b] {
-		if p.stats.Cardinality(r) < p.stats.Cardinality(seed) {
-			seed = r
+	var starts [numStarts]catalog.RelID
+	k := p.smallest(p.comps[a:b], &starts)
+	for i, s := range starts[:k] {
+		// The first start has no bound to reach: a NaN bound compares
+		// false, so it always completes.
+		bound := math.NaN()
+		if i > 0 {
+			bound = p.segCost[c]
 		}
+		size, total, done := p.grow(a, b, s, bound)
+		if !done {
+			continue
+		}
+		copy(p.scratch[a:b], p.grown[a:b])
+		p.segSize[c] = size
+		p.segCost[c] = total
 	}
-	p.scratch[a] = seed
-	p.frontier.Set(seed)
-	size := p.stats.Cardinality(seed)
-	totalCost := 0.0
-	for filled := 1; filled < b-a; filled++ {
+}
+
+// smallest fills starts with up to numStarts of members' smallest
+// relations, ascending by effective cardinality and then by ID (the
+// order heuristics.Augmentation takes its first relations in), and
+// returns how many it filled.
+//
+//ljqlint:hotpath
+func (p *Planner) smallest(members []catalog.RelID, starts *[numStarts]catalog.RelID) int {
+	k := 0
+	for _, r := range members {
+		card := p.stats.Cardinality(r)
+		// members ascend by ID, so an equal cardinality stays behind.
+		j := k
+		for j > 0 && card < p.stats.Cardinality(starts[j-1]) {
+			j--
+		}
+		if j == numStarts {
+			continue
+		}
+		if k < numStarts {
+			k++
+		}
+		copy(starts[j+1:k], starts[j:k-1])
+		starts[j] = r
+	}
+	return k
+}
+
+// grow orders the component segmented at [a, b) from start into the
+// grown buffer and returns the order's final size and summed join
+// cost. Each step appends the reachable relation whose join is
+// cheapest, the lowest ID on a tie. grow abandons the order, returning
+// done=false, as soon as its running total reaches bound.
+//
+//ljqlint:hotpath
+func (p *Planner) grow(a, b int, start catalog.RelID, bound float64) (size, total float64, done bool) {
+	stats, model, placed := p.stats, p.model, p.placed
+	placed.Reset()
+	p.reach.Reset()
+	p.grown[a] = start
+	p.place(start)
+	size = stats.Cardinality(start)
+	for filled := a + 1; filled < b; filled++ {
 		best := catalog.RelID(-1)
-		bestJoin := false
-		bestCost := 0.0
-		bestSize := 0.0
-		for _, rid := range p.comps[a:b] {
-			if p.frontier.Test(rid) {
-				continue
-			}
-			card := p.stats.Cardinality(rid)
-			// A cross product is what JoinSize returns for a relation
-			// with no edge into the frontier, bit for bit (its
-			// selectivity is exactly 1); the word-AND spares the walk.
-			res := size * card
-			joined := p.csr.JoinsInto(rid, p.frontier)
-			if joined {
-				res = p.stats.JoinSize(size, p.frontier, rid)
-			}
-			jc := p.model.JoinCost(size, card, res)
-			p.work++
-			// Joinable candidates strictly dominate cross products (the
-			// cross arm is defensive: a connected component always has a
-			// joinable candidate); among equals, only a strictly cheaper
-			// join displaces the incumbent, so ties keep the lowest ID.
-			if best < 0 || (joined && !bestJoin) || (joined == bestJoin && jc < bestCost) {
-				best, bestJoin, bestCost, bestSize = rid, joined, jc, res
+		bestCost, bestSize := 0.0, 0.0
+		for w, word := range p.reach {
+			for ; word != 0; word &= word - 1 {
+				rid := catalog.RelID(w<<6 + bits.TrailingZeros64(word))
+				res := stats.JoinSize(size, placed, rid)
+				jc := model.JoinCost(size, stats.Cardinality(rid), res)
+				p.work++
+				if best < 0 || jc < bestCost {
+					best, bestCost, bestSize = rid, jc, res
+				}
 			}
 		}
-		p.scratch[a+filled] = best
-		p.frontier.Set(best)
+		p.grown[filled] = best
+		p.place(best)
 		size = bestSize
-		totalCost += bestCost
+		total += bestCost
+		if total >= bound {
+			return 0, 0, false
+		}
 	}
-	p.segSize[c] = size
-	p.segCost[c] = totalCost
+	return size, total, true
+}
+
+// place adds r to the order so far: r leaves the reach set and its
+// unplaced neighbors join it.
+//
+//ljqlint:hotpath
+func (p *Planner) place(r catalog.RelID) {
+	p.placed.Set(r)
+	mask := p.csr.NeighborMask(r)
+	for i := range p.reach {
+		p.reach[i] = (p.reach[i] | mask[i]) &^ p.placed[i]
+	}
 }

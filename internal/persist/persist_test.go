@@ -16,7 +16,8 @@ import (
 
 // testEntry fabricates a deterministic entry. The fingerprint encodes
 // i; the plan's floats exercise exact-bit round-tripping (non-round
-// fractions, big exponents).
+// fractions, big exponents). Its two components hold positions 0..3
+// once each, the first alone 0..2, so either is a plan decode accepts.
 func testEntry(i int) *plancache.Entry {
 	var fp fingerprint.Fingerprint
 	binary.LittleEndian.PutUint64(fp[:8], uint64(i))
@@ -26,8 +27,8 @@ func testEntry(i int) *plancache.Entry {
 		Fingerprint: fp,
 		Plan: &plan.Plan{
 			Components: []plan.Result{
-				{Perm: plan.Perm{catalog.RelID(i % 7), catalog.RelID((i + 3) % 7), catalog.RelID((i + 5) % 7)}, Cost: cost},
-				{Perm: plan.Perm{catalog.RelID(7 + i%3)}, Cost: 1.5},
+				{Perm: plan.Perm{catalog.RelID(i % 3), catalog.RelID((i + 1 + i%2) % 3), catalog.RelID((i + 2 - i%2) % 3)}, Cost: cost},
+				{Perm: plan.Perm{3}, Cost: 1.5},
 			},
 			CrossCost: 2.25 * float64(i),
 			TotalCost: cost + 1.5 + 2.25*float64(i),
@@ -221,6 +222,79 @@ func TestCorruptRecordTruncatesAtFirstBadChecksum(t *testing.T) {
 	for i, e := range got {
 		if !entriesEqual(testEntry(i), e) {
 			t.Fatalf("recovered entry %d corrupted", i)
+		}
+	}
+}
+
+// TestDecodeRefusesPositionsOutsideThePlan: a record whose components
+// do not hold each position 0..n−1 exactly once is corrupt, however
+// well framed; one that does decodes whatever the split.
+func TestDecodeRefusesPositionsOutsideThePlan(t *testing.T) {
+	withPerms := func(perms ...plan.Perm) *plancache.Entry {
+		e := testEntry(1)
+		e.Plan.Components = nil
+		for _, p := range perms {
+			e.Plan.Components = append(e.Plan.Components, plan.Result{Perm: p, Cost: 1})
+		}
+		return e
+	}
+	for _, c := range []struct {
+		name string
+		e    *plancache.Entry
+		ok   bool
+	}{
+		{"position past the shape", withPerms(plan.Perm{0, 99}), false},
+		{"repeated position", withPerms(plan.Perm{1, 1}), false},
+		{"position in two components", withPerms(plan.Perm{0, 1}, plan.Perm{1}), false},
+		{"missing position", withPerms(plan.Perm{0, 2}, plan.Perm{3}), false},
+		{"huge position", withPerms(plan.Perm{0, 1 << 31}), false},
+		{"one component", withPerms(plan.Perm{2, 0, 1}), true},
+		{"split over components", withPerms(plan.Perm{3, 1}, plan.Perm{0}, plan.Perm{2}), true},
+		{"two-byte positions", withPerms(reversed(300)), true},
+		{"no component", withPerms(), true},
+	} {
+		got, err := decodeEntry(encodeEntry(c.e))
+		if !c.ok {
+			if !errors.Is(err, errCorrupt) {
+				t.Errorf("%s: decode err %v, want errCorrupt", c.name, err)
+			}
+			continue
+		}
+		if err != nil || !entriesEqual(got, c.e) {
+			t.Errorf("%s: decode err %v, entry equal %v", c.name, err, err == nil && entriesEqual(got, c.e))
+		}
+	}
+}
+
+// reversed returns the permutation n−1, ..., 0.
+func reversed(n int) plan.Perm {
+	p := make(plan.Perm, n)
+	for i := range p {
+		p[i] = catalog.RelID(n - 1 - i)
+	}
+	return p
+}
+
+// TestRecoveryDiscardsPositionsOutsideThePlan: recovery treats a record
+// naming a position outside its plan like any corrupt record, keeping
+// the records before it and truncating the rest.
+func TestRecoveryDiscardsPositionsOutsideThePlan(t *testing.T) {
+	fs := vfs.NewMem()
+	st, _, _ := openMem(t, fs)
+	bad := testEntry(2)
+	bad.Plan.Components = []plan.Result{{Perm: plan.Perm{0, 99}, Cost: 1}}
+	for _, e := range []*plancache.Entry{testEntry(0), testEntry(1), bad, testEntry(3)} {
+		if _, err := st.Append(e); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	_, got, stats := openMem(t, fs)
+	if len(got) != 2 || stats.Discarded != 1 {
+		t.Fatalf("recovered %d entries, discarded %d; want the 2 before the bad record, 1 discarded", len(got), stats.Discarded)
+	}
+	for i, e := range got {
+		if !entriesEqual(testEntry(i), e) {
+			t.Fatalf("recovered entry %d differs", i)
 		}
 	}
 }

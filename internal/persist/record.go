@@ -45,8 +45,10 @@ import (
 //
 // Decoding is defensive: every length is bounds-checked against hard
 // caps and against the bytes left in the record before allocation,
-// trailing bytes are an error, and no input — truncated, bit-flipped,
-// or adversarial — may panic (FuzzJournalReplay enforces this).
+// trailing bytes are an error, the components together must hold each
+// plan position 0..n−1 exactly once, and no input — truncated,
+// bit-flipped, or adversarial — may panic (FuzzJournalReplay enforces
+// this).
 
 const (
 	headerLen = 12
@@ -243,8 +245,8 @@ func (d *decoder) count(max uint64, minBytes int) (int, error) {
 
 // decodedEntry is the storage of one decoded record: the entry, its
 // plan and its first component share one allocation, since most plans
-// have a single connected component. Permutations are allocated on
-// their own.
+// have a single connected component. The permutations are cut from one
+// further allocation.
 type decodedEntry struct {
 	entry plancache.Entry
 	plan  plan.Plan
@@ -252,7 +254,9 @@ type decodedEntry struct {
 }
 
 // decodeEntry parses one record payload. It never panics; any
-// malformed input returns errCorrupt.
+// malformed input returns errCorrupt, and so does a plan whose
+// components do not hold each position 0..n−1 exactly once, which no
+// planner produces and whose response would index past its shape.
 func decodeEntry(payload []byte) (*plancache.Entry, error) {
 	d := decoder{b: payload}
 	fpb, err := d.bytes(fingerprint.Size)
@@ -305,23 +309,38 @@ func decodeEntry(payload []byte) (*plancache.Entry, error) {
 	case ncomp > 1:
 		rec.plan.Components = make([]plan.Result, ncomp)
 	}
-	totalRels := 0
+	// A relation takes at least one byte, so the bytes left after the
+	// components' fixed parts bound the relations they can hold: every
+	// permutation is cut from one array of that size, exact for plans
+	// under 128 relations.
+	var rels plan.Perm
+	if room := len(payload) - d.off - 9*ncomp; room > 0 {
+		rels = make(plan.Perm, 0, min(room, maxPermLen))
+	}
 	for i := range rec.plan.Components {
 		costBits, err := d.u64()
 		if err != nil {
 			return nil, err
 		}
-		// A relation takes at least one byte.
 		plen, err := d.count(maxPermLen, 1)
 		if err != nil {
 			return nil, err
 		}
-		totalRels += plen
-		if totalRels > maxPermLen {
+		if plen > cap(rels)-len(rels) {
 			return nil, errCorrupt
 		}
-		perm := make(plan.Perm, plen)
+		start := len(rels)
+		rels = rels[:start+plen]
+		perm := rels[start:len(rels):len(rels)]
 		for j := range perm {
+			// Most positions are under 128: one byte, its own uvarint,
+			// read inline so replay stays as fast as before the
+			// position check below.
+			if d.off < len(payload) && payload[d.off] < 0x80 {
+				perm[j] = catalog.RelID(payload[d.off])
+				d.off++
+				continue
+			}
 			r, err := d.uvarint(math.MaxUint32)
 			if err != nil {
 				return nil, err
@@ -333,7 +352,33 @@ func decodeEntry(payload []byte) (*plancache.Entry, error) {
 	if d.off != len(payload) {
 		return nil, errCorrupt // trailing garbage: reject the record
 	}
+	if !isPermutation(rels) {
+		return nil, errCorrupt
+	}
 	return &rec.entry, nil
+}
+
+// isPermutation reports whether perm holds each position
+// 0..len(perm)−1 exactly once. It marks position v seen by
+// complementing perm[v], which makes it negative, so it needs no memory
+// of its own. On true every mark is cleared again; on false perm is
+// left marked, for its decoder to discard.
+func isPermutation(perm plan.Perm) bool {
+	n := catalog.RelID(len(perm))
+	for _, r := range perm {
+		if r < 0 {
+			r = ^r // an earlier position marked this slot
+		}
+		if r >= n || perm[r] < 0 {
+			return false
+		}
+		perm[r] = ^perm[r]
+	}
+	// Each slot was marked exactly once.
+	for i := range perm {
+		perm[i] = ^perm[i]
+	}
+	return true
 }
 
 // replay decodes the framed records after a validated header and

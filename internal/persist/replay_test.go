@@ -232,15 +232,19 @@ func TestReplayAppendsToDst(t *testing.T) {
 }
 
 // TestDecodeEntryAllocs pins one allocation for a record's entry, plan
-// and single component together, plus one for its permutation.
+// and first component together, one for its permutations, and one for
+// the component slice of a plan with several: checking the positions
+// allocates nothing.
 func TestDecodeEntryAllocs(t *testing.T) {
-	payload := encodeEntry(replayEntry(0))
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := decodeEntry(payload); err != nil {
-			t.Fatal(err)
+	for i, want := range []float64{2, 3} {
+		payload := encodeEntry(replayEntry(i))
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := decodeEntry(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want {
+			t.Fatalf("decodeEntry of a %d-component record: %v allocs, want %v", i+1, allocs, want)
 		}
-	})
-	if allocs != 2 {
-		t.Fatalf("decodeEntry of a single-component record: %v allocs, want 2", allocs)
 	}
 }

@@ -122,3 +122,26 @@ func TestSnapshotArcPush(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotArcRefusesPositionsOutsideThePlan: a pushed entry whose
+// plan names a position its shape does not have is a defective payload,
+// answered 400 with nothing warmed, so no later request for that shape
+// is served an order it cannot translate.
+func TestSnapshotArcRefusesPositionsOutsideThePlan(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	bad := arcEntry(2)
+	bad.Plan.Components[0].Perm = plan.Perm{0, 99}
+	payload := persist.EncodeSnapshot([]*plancache.Entry{arcEntry(1), bad})
+	resp, err := http.Post(ts.URL+"/snapshot/arc", "application/octet-stream", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if st := s.Cache().Stats(); st.Warmed != 0 || st.Entries != 0 {
+		t.Fatalf("cache stats %+v, want nothing warmed", st)
+	}
+}

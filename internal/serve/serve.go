@@ -99,9 +99,10 @@ type Config struct {
 	// QueueTimeout bounds how long a request may wait for limiter
 	// capacity before being shed with 503 (default 1s).
 	QueueTimeout time.Duration
-	// RequestTimeout bounds one optimization end to end; the anytime
-	// optimizer returns its incumbent (flagged degraded) at the
-	// deadline (default 30s).
+	// RequestTimeout bounds one synchronous full search, the queue
+	// wait for limiter capacity included; the anytime optimizer returns
+	// its incumbent (flagged degraded) at the deadline (default 30s).
+	// A hit or a Tier-1 greedy answer never waits, so it arms none.
 	RequestTimeout time.Duration
 	// Cache configures the plan cache; ignored if CacheHandle is set.
 	Cache plancache.Config
@@ -596,19 +597,19 @@ func (s *Server) OptimizeQuery(ctx context.Context, q *catalog.Query) (*Optimize
 // cache hit, coalesced wait, or fresh optimizer run. q stays in the
 // requester's coordinates; the flight's leader builds the canonical
 // relabeling once, on the miss path only, and every planner of the
-// miss reads that one value. Only a flight's leader arms the service's
-// request deadline, inside the flight: a hit needs none, and a
-// coalesced waiter waits on its own context and on the flight, which
-// resolves by the leader's deadline — earlier than the waiter's own
-// would have ended. A flight's leader that produced a Tier-1 entry
-// schedules its background upgrade of the same canonical query here,
-// after admission and before the response is written, so only entries
-// the cache kept are upgraded.
+// miss reads that one value. No deadline is armed here: a hit, the
+// relabeling and a greedy plan never wait, and Server.optimize arms
+// the service's request deadline around the one step that does, the
+// full search of an escalated or untiered miss. A coalesced waiter
+// waits on its own context and on the flight, which resolves by the
+// leader's deadline — earlier than the waiter's own would have ended.
+// A flight's leader that produced a Tier-1 entry schedules its
+// background upgrade of the same canonical query here, after admission
+// and before the response is written, so only entries the cache kept
+// are upgraded.
 func (s *Server) computeEntry(ctx context.Context, fp fingerprint.Fingerprint, q *catalog.Query, order []catalog.RelID) (entry *plancache.Entry, hit, shared bool, err error) {
 	var cq *catalog.Query // set by the leader, which runs compute on this goroutine
 	entry, hit, shared, err = s.cache.GetOrCompute(ctx, fp, func(ctx context.Context) (*plancache.Entry, error) {
-		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
 		cq = fingerprint.Relabel(q, order)
 		if s.tiers != nil {
 			return s.tiers.compute(ctx, fp, cq)
@@ -759,8 +760,12 @@ func (s *Server) handleSnapshotArc(w http.ResponseWriter, r *http.Request) {
 
 // optimize is the synchronous cache-miss path: acquire capacity
 // weighted by the join count (shedding on queue deadline), then run
-// the full search on the canonical query under the request context.
+// the full search on the canonical query, both under the service's
+// request deadline (Config.RequestTimeout), armed here because this is
+// the only step of a miss that waits.
 func (s *Server) optimize(ctx context.Context, fp fingerprint.Fingerprint, cq *catalog.Query) (*plancache.Entry, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	defer cancel()
 	weight := int64(joins(cq))
 	qctx, qcancel := context.WithTimeout(ctx, s.cfg.QueueTimeout)
 	err := s.sem.Acquire(qctx, weight)
