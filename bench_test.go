@@ -263,6 +263,7 @@ func BenchmarkEvaluatorCost(b *testing.B) {
 	for _, n := range []int{10, 50, 100} {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			eval, _, p := microFixture(n)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eval.Cost(p)

@@ -8,6 +8,32 @@
 // single predicate is 1/max(D_left, D_right) unless given explicitly.
 // When a relation joins the current intermediate result through several
 // edges, the selectivities of all of them multiply.
+//
+// NewStats prices every edge once per direction, before any join is
+// sized: one factor record per incidence of the join graph's CSR, in CSR
+// order, so a relation's records sit in the order its merged edges were
+// numbered. A record is fixed — the histogram join selectivity when both
+// sides carry aligned histograms, else the predicate's selectivity when a
+// side lacks distinct counts — or a distinct-count factor, holding its
+// residual selectivity, the distinct counts dInner and dOuter oriented
+// from the relation, and its unclamped value residual/max(dOuter,
+// dInner). SelectivityInto multiplies, in lane order, the factors whose
+// neighbor is in the prefix: a fixed factor as it is, and a
+// distinct-count factor as its unclamped value when the estimator is
+// static or dOuter ≤ max(S, 1e-12) for prefix size S, which loads no
+// edge and divides nothing; only a factor whose prefix side the prefix
+// has shrunk below is clamped, 1/max(min(dOuter, S), dInner) times its
+// residual. Every result equals, bit for bit, the edge walk
+// oracle_test.go keeps as its oracle, and is NaN where that is NaN.
+// UnclampedSelectivityInto returns a relation's unclamped product into
+// a set together with the prefix size from which it is exact, so a
+// caller pricing one relation at many prefix sizes over the same set,
+// as the greedy planner does, multiplies its factors once. Only the
+// factors that vary with the prefix size raise that threshold: a
+// distinct-count factor whose prefix-side count is at most its inner
+// count divides by the inner count at every size. NeighborSelectivity
+// returns the same pair for a set holding one neighbor, read from that
+// neighbor's record of the edge.
 package estimate
 
 import (
@@ -25,23 +51,89 @@ type Stats struct {
 	// card[i] is the effective cardinality of relation i after
 	// selections.
 	card []float64
+	// lane holds one factor record of factorWords float64s per CSR
+	// incidence, in CSR order (see the package doc).
+	lane []float64
 	// static disables dynamic distinct-value propagation (see
 	// UseStaticSelectivity).
 	static bool
 }
 
+// The fields of a factor record, the join selectivity one incidence of
+// relation inner contributes once its neighbor is in the prefix. A
+// distinct-count factor holds its unclamped value
+// residual / maxf(dOuter, dInner), then dOuter, residual and dInner,
+// oriented from inner. A fixed factor is stored as (v, -Inf, v, 1):
+// the clamp rule takes its value v at every prefix size, and at a NaN
+// size, where the rule fails, the clamped expression gives
+// v / maxf(minf(-Inf, NaN), 1) = v / 1 = v, since math.Min returns -Inf
+// whenever either operand is -Inf.
+const (
+	factorValue = iota
+	factorOuter
+	factorResidual
+	factorInner
+	factorWords
+)
+
 // NewStats computes the per-relation statistics for q over its join
-// graph g.
+// graph g, and lays out the factor lane of g's CSR incidences.
 func NewStats(q *catalog.Query, g *joingraph.Graph) *Stats {
+	n := q.NumRelations()
+	csr := g.CSR()
+	// card and the lane are cut from one allocation.
+	buf := make([]float64, n+factorWords*len(csr.Nbr))
 	s := &Stats{
 		query: q,
 		graph: g,
-		card:  make([]float64, q.NumRelations()),
+		card:  buf[:n:n],
+		lane:  buf[n:],
 	}
 	for i := range q.Relations {
 		s.card[i] = q.Relations[i].EffectiveCardinality()
 	}
+	edges := g.Edges()
+	for v := 0; v < n; v++ {
+		for k := csr.Off[v]; k < csr.Off[v+1]; k++ {
+			f := s.lane[factorWords*k : factorWords*(k+1)]
+			setFactor(f, &edges[csr.EdgeIdx[k]], catalog.RelID(v))
+		}
+	}
 	return s
+}
+
+// setFactor writes into f the factor e contributes when relation inner
+// joins a prefix across it.
+func setFactor(f []float64, e *joingraph.Edge, inner catalog.RelID) {
+	// Histograms, when both sides carry aligned ones, dominate the flat
+	// models: they capture skew neither distinct counts nor a single
+	// selectivity can. Histogram selectivities are used as-is in both
+	// estimator modes (they already encode the full value
+	// distribution).
+	if j, ok := e.FromHist.JoinSelectivity(e.ToHist); ok {
+		setFixed(f, j)
+		return
+	}
+	dInner, dOuter := e.FromDistinct, e.ToDistinct
+	if e.From != inner {
+		dInner, dOuter = dOuter, dInner
+	}
+	if dInner < 1 || dOuter < 1 {
+		// No distinct statistics: use the static selectivity.
+		setFixed(f, e.Selectivity)
+		return
+	}
+	// residual preserves any selectivity beyond the distinct-count
+	// model: merged parallel predicates and user-supplied explicit
+	// selectivities. It is exactly 1 for a plain normalized edge, so in
+	// static mode base·residual reproduces e.Selectivity.
+	residual := e.Selectivity * maxf(dInner, dOuter)
+	f[factorValue], f[factorOuter], f[factorResidual], f[factorInner] = residual/maxf(dOuter, dInner), dOuter, residual, dInner
+}
+
+// setFixed writes the record of a fixed factor v.
+func setFixed(f []float64, v float64) {
+	f[factorValue], f[factorOuter], f[factorResidual], f[factorInner] = v, math.Inf(-1), v, 1
 }
 
 // UseStaticSelectivity switches the estimator to the classical static
@@ -93,47 +185,88 @@ func (s *Stats) JoinSize(outerSize float64, inSet joingraph.Bitset, inner catalo
 
 // SelectivityInto returns the combined (dynamic) join selectivity of all
 // edges linking relation inner to the prefix set, given the prefix's
-// current size. See JoinSize for the model. It walks inner's CSR
-// incidences, which keep merged-edge order, so the product always
-// accumulates in the same order.
+// current size. See JoinSize for the model. It multiplies, in lane
+// order, the factors of inner's incidences whose neighbor is in the
+// set, so the product always accumulates in the same order.
+//
+//ljqlint:hotpath
 func (s *Stats) SelectivityInto(outerSize float64, inSet joingraph.Bitset, inner catalog.RelID) float64 {
-	sel := 1.0
+	// Static mode clamps nothing: at an infinite clamp every factor but
+	// a NaN-count one takes its unclamped value, and a distinct-count
+	// factor with a NaN count is NaN on either path.
+	clamp := math.Inf(1)
+	if !s.static {
+		// The builtin max equals maxf here: it departs from math.Max
+		// only on a NaN beside +Inf or on ±0 pairs, and 1e-12 is
+		// neither.
+		clamp = max(outerSize, 1e-12)
+	}
 	csr := s.graph.CSR()
-	edges := s.graph.Edges()
-	for k := csr.Off[inner]; k < csr.Off[inner+1]; k++ {
-		if !inSet.Test(catalog.RelID(csr.Nbr[k])) {
+	lo, hi := csr.Off[inner], csr.Off[inner+1]
+	lane := s.lane[factorWords*lo : factorWords*hi]
+	sel := 1.0
+	for i, v := range csr.Nbr[lo:hi] {
+		if !inSet.Test(catalog.RelID(v)) {
 			continue
 		}
-		e := &edges[csr.EdgeIdx[k]]
-		// Histograms, when both sides carry aligned ones, dominate the
-		// flat models: they capture skew neither distinct counts nor a
-		// single selectivity can. Histogram selectivities are used
-		// as-is in both estimator modes (they already encode the full
-		// value distribution).
-		if j, ok := e.FromHist.JoinSelectivity(e.ToHist); ok {
-			sel *= j
+		f := (*[factorWords]float64)(lane[factorWords*i:])
+		if f[factorOuter] <= clamp {
+			sel *= f[factorValue]
 			continue
 		}
-		dInner, dOuter := e.FromDistinct, e.ToDistinct
-		if e.From != inner {
-			dInner, dOuter = dOuter, dInner
-		}
-		if dInner < 1 || dOuter < 1 {
-			// No distinct statistics: use the static selectivity.
-			sel *= e.Selectivity
-			continue
-		}
-		// residual preserves any selectivity beyond the distinct-count
-		// model: merged parallel predicates and user-supplied explicit
-		// selectivities. It is exactly 1 for a plain normalized edge,
-		// so in static mode base·residual reproduces e.Selectivity.
-		residual := e.Selectivity * maxf(dInner, dOuter)
-		if !s.static {
-			dOuter = minf(dOuter, maxf(outerSize, 1e-12))
-		}
-		sel *= residual / maxf(dOuter, dInner)
+		sel *= f[factorResidual] / maxf(minf(f[factorOuter], clamp), f[factorInner])
 	}
 	return sel
+}
+
+// UnclampedSelectivityInto returns the product, in lane order, of the
+// unclamped values of inner's factors into inSet, and the threshold
+// from which that product is SelectivityInto's: for every prefix size
+// S >= thr, SelectivityInto(S, inSet, inner) == sel bit for bit. thr is
+// the largest prefix-side distinct count among the factors that vary
+// with S, NaN if any count is NaN, and -Inf when none varies. A
+// distinct-count factor whose prefix-side count is at most its inner
+// count does not vary: at every size its divisor is the inner count. A
+// caller that prices inner at many prefix sizes over one set computes
+// the product once.
+//
+//ljqlint:hotpath
+func (s *Stats) UnclampedSelectivityInto(inSet joingraph.Bitset, inner catalog.RelID) (sel, thr float64) {
+	csr := s.graph.CSR()
+	lo, hi := csr.Off[inner], csr.Off[inner+1]
+	lane := s.lane[factorWords*lo : factorWords*hi]
+	sel, thr = 1, math.Inf(-1)
+	for i, v := range csr.Nbr[lo:hi] {
+		if !inSet.Test(catalog.RelID(v)) {
+			continue
+		}
+		f := (*[factorWords]float64)(lane[factorWords*i:])
+		sel *= f[factorValue]
+		if !(f[factorOuter] <= f[factorInner]) {
+			// The builtin max is NaN once any count is NaN.
+			thr = max(thr, f[factorOuter])
+		}
+	}
+	return sel, thr
+}
+
+// NeighborSelectivity returns what UnclampedSelectivityInto returns
+// for relation v = CSR.Nbr[k] and any set that holds u, the relation
+// incidence k belongs to, and none of v's other neighbors: the single
+// factor of their edge seen from v. It reads u's record of the edge,
+// whose value is v's (the unclamped value is symmetric in the two
+// distinct counts) and whose counts are v's swapped.
+//
+//ljqlint:hotpath
+func (s *Stats) NeighborSelectivity(k int32) (sel, thr float64) {
+	f := (*[factorWords]float64)(s.lane[factorWords*k:])
+	thr = f[factorInner]
+	if math.IsInf(f[factorOuter], -1) || thr <= f[factorOuter] {
+		// A fixed factor, or one whose count on u's side is at most
+		// v's: it does not vary with the prefix size.
+		thr = math.Inf(-1)
+	}
+	return f[factorValue], thr
 }
 
 // maxf returns exactly what math.Max returns for every input, NaN, ±Inf

@@ -14,7 +14,7 @@ var benchSink float64
 
 // BenchmarkGreedyPlan20 is the Tier-1 steady-state number: replanning
 // the smoke workload's 20-join query (21 relations, same generator seed
-// as serve's TestSmokeEndToEnd) from its four smallest relations, with
+// as serve's TestSmokeEndToEnd) from its eight smallest relations, with
 // 0 allocs/op — the planner is built once and every Plan call reuses
 // its buffers. Budgeted in ALLOC_BUDGETS.json.
 func BenchmarkGreedyPlan20(b *testing.B) { benchmarkPlan(b, 20) }
@@ -59,7 +59,7 @@ func benchmarkColdPlan(b *testing.B, joins int) {
 
 // BenchmarkGreedyStart20 grows one order of BenchmarkGreedyPlan20's
 // query from its smallest relation: the per-start cost Plan pays up to
-// four times.
+// eight times.
 func BenchmarkGreedyStart20(b *testing.B) {
 	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
 	p, err := New(q, cost.NewMemoryModel())

@@ -10,7 +10,7 @@
 // (§4.1, Figure 3). Per connected component, an order grows from a
 // start relation by repeatedly appending the joinable relation whose
 // next join is cheapest under the cost model. Plan grows one order
-// from each of the component's four smallest relations, taken in
+// from each of the component's eight smallest relations, taken in
 // heuristics.Augmentation's first-relation order (effective
 // cardinality, then ID), and keeps the strictly cheapest; a tie keeps
 // the earlier start. A start is abandoned as soon as its running total
@@ -24,7 +24,17 @@
 // priced. Joins are sized by estimate.Stats — distinct-value
 // propagation and histograms included — with the arithmetic
 // plan.Evaluator prices with, so a component's cost equals the
-// evaluator's cost of its order bit for bit. Components are then
+// evaluator's cost of its order bit for bit. A relation's selectivity
+// into the placed set changes only when one of its neighbors is
+// placed, so placing a relation re-prices each unplaced neighbor's
+// selectivity once — a neighbor entering the reach set takes the one
+// factor of its edge (estimate.Stats.NeighborSelectivity), one already
+// in it multiplies its factors again
+// (estimate.Stats.UnclampedSelectivityInto) — and the planner keeps
+// the product with its threshold. A step sizes a candidate as
+// size·card·sel while the prefix size is at or above that threshold,
+// and through estimate.Stats.JoinSize once the prefix has shrunk below
+// a distinct count the product varies with. Components are then
 // concatenated smallest-final-size-first with cross products priced
 // between them and their costs summed in that order, matching
 // plan.Assemble's postpone-cross-products total.
@@ -38,15 +48,15 @@
 //
 // Allocation discipline: New does all the allocating (join graph and
 // its CSR view, estimator statistics, the placed and reach bitsets,
-// scratch and result buffers); Plan is a //ljqlint:hotpath function
-// that reuses those buffers and returns a pointer into the planner.
-// BenchmarkGreedyPlan20 carries a 0-allocs/op ceiling in
-// ALLOC_BUDGETS.json.
+// the cached selectivities, scratch and result buffers); Plan is a
+// hotpath function that reuses those buffers and returns a pointer
+// into the planner. BenchmarkGreedyPlan20 carries a 0-allocs/op
+// ceiling in ALLOC_BUDGETS.json.
 //
 // The package deliberately does not charge a cost.Budget: greedy work
 // is bounded by construction. A start over a component of V relations
 // prices at most V(V−1)/2 joins, so a plan makes at most
-// 4·V(V−1)/2 JoinCost calls per component, plus one per cross product,
+// 8·V(V−1)/2 JoinCost calls per component, plus one per cross product,
 // and the Result's Work counter reports the exact count after the
 // fact.
 package greedy
@@ -115,7 +125,7 @@ func (r *Result) ToPlan() *plan.Plan {
 // numStarts is how many of a component's smallest relations Plan grows
 // an order from. The plan-quality gate (quality_test.go) prices what a
 // different count would buy.
-const numStarts = 4
+const numStarts = 8
 
 // Planner is a reusable greedy planner for one query. Build with New
 // (which allocates everything Plan will ever need), then call Plan any
@@ -135,14 +145,19 @@ type Planner struct {
 	compOff []int32
 
 	// placed is the order-so-far membership bitset and reach the
-	// unplaced relations that join it, both reused per start. scratch
-	// holds each component's cheapest order and grown the order of the
-	// current start, both in comps segmentation; segSize/segCost record
-	// each component's final size and summed join cost; segIdx is the
+	// unplaced relations that join it, both reused per start. sel[r]
+	// and thr[r] are what estimate.Stats.UnclampedSelectivityInto
+	// returns for reach member r and the placed set, refreshed
+	// whenever a neighbor of r is placed. scratch holds each
+	// component's cheapest order and grown the order of the current
+	// start, both in comps segmentation; segSize/segCost record each
+	// component's final size and summed join cost; segIdx is the
 	// combination-order sort permutation; order is the concatenated
 	// final order.
 	placed  joingraph.Bitset
 	reach   joingraph.Bitset
+	sel     []float64
+	thr     []float64
 	scratch []catalog.RelID
 	grown   []catalog.RelID
 	segSize []float64
@@ -175,15 +190,17 @@ func New(q *catalog.Query, model cost.Model) (*Planner, error) {
 		p.compOff = append(p.compOff, int32(len(p.comps)))
 	}
 
-	// The two bitsets and the two order lanes are each cut from one
-	// allocation.
+	// The two bitsets, the two order lanes and the four float64 lanes
+	// are each cut from one allocation.
 	words := (n + 63) >> 6
 	sets := make(joingraph.Bitset, 2*words)
 	p.placed, p.reach = sets[:words:words], sets[words:]
 	lanes := make([]catalog.RelID, 2*n)
 	p.scratch, p.grown = lanes[:n:n], lanes[n:]
-	p.segSize = make([]float64, len(comps))
-	p.segCost = make([]float64, len(comps))
+	nc := len(comps)
+	floats := make([]float64, 2*n+2*nc)
+	p.sel, p.thr = floats[:n:n], floats[n:2*n:2*n]
+	p.segSize, p.segCost = floats[2*n:2*n+nc:2*n+nc], floats[2*n+nc:]
 	p.segIdx = make([]int, len(comps))
 	p.order = make(plan.Perm, n)
 	p.result.Components = make([]plan.Result, len(comps))
@@ -303,8 +320,8 @@ func (p *Planner) smallest(members []catalog.RelID, starts *[numStarts]catalog.R
 //
 //ljqlint:hotpath
 func (p *Planner) grow(a, b int, start catalog.RelID, bound float64) (size, total float64, done bool) {
-	stats, model, placed := p.stats, p.model, p.placed
-	placed.Reset()
+	stats, model, sel, thr := p.stats, p.model, p.sel, p.thr
+	p.placed.Reset()
 	p.reach.Reset()
 	p.grown[a] = start
 	p.place(start)
@@ -315,8 +332,17 @@ func (p *Planner) grow(a, b int, start catalog.RelID, bound float64) (size, tota
 		for w, word := range p.reach {
 			for ; word != 0; word &= word - 1 {
 				rid := catalog.RelID(w<<6 + bits.TrailingZeros64(word))
-				res := stats.JoinSize(size, placed, rid)
-				jc := model.JoinCost(size, stats.Cardinality(rid), res)
+				card := stats.Cardinality(rid)
+				// A cached product is JoinSize's selectivity unless the
+				// prefix has shrunk below a distinct count it varies
+				// with.
+				var res float64
+				if size >= thr[rid] {
+					res = size * card * sel[rid]
+				} else {
+					res = stats.JoinSize(size, p.placed, rid)
+				}
+				jc := model.JoinCost(size, card, res)
 				p.work++
 				if best < 0 || jc < bestCost {
 					best, bestCost, bestSize = rid, jc, res
@@ -334,14 +360,27 @@ func (p *Planner) grow(a, b int, start catalog.RelID, bound float64) (size, tota
 	return size, total, true
 }
 
-// place adds r to the order so far: r leaves the reach set and its
-// unplaced neighbors join it.
+// place adds r to the order so far: r leaves the reach set, and each
+// unplaced neighbor joins it with its selectivity into the new placed
+// set priced afresh. Only placing a neighbor changes which of a
+// relation's factors multiply in, so a reach member's cached product
+// is always current. A neighbor entering the reach set joins r alone,
+// so its product is the one factor r's incidence holds.
 //
 //ljqlint:hotpath
 func (p *Planner) place(r catalog.RelID) {
 	p.placed.Set(r)
-	mask := p.csr.NeighborMask(r)
-	for i := range p.reach {
-		p.reach[i] = (p.reach[i] | mask[i]) &^ p.placed[i]
+	p.reach.Clear(r)
+	csr, stats := p.csr, p.stats
+	for k := csr.Off[r]; k < csr.Off[r+1]; k++ {
+		nb := catalog.RelID(csr.Nbr[k])
+		switch {
+		case p.placed.Test(nb):
+		case p.reach.Test(nb):
+			p.sel[nb], p.thr[nb] = stats.UnclampedSelectivityInto(p.placed, nb)
+		default:
+			p.reach.Set(nb)
+			p.sel[nb], p.thr[nb] = stats.NeighborSelectivity(k)
+		}
 	}
 }

@@ -200,12 +200,15 @@ func TestDifferentialGreedyPlanMatchesOracle(t *testing.T) {
 }
 
 // TestSmallestStartsOrder checks the start order on ties: equal
-// cardinalities keep ascending IDs, and a fifth relation never
-// displaces the four smallest.
+// cardinalities keep ascending IDs, a relation past the eight smallest
+// never displaces them (nor does one tied with the eighth at a higher
+// ID), and a late small relation shifts a full list.
 func TestSmallestStartsOrder(t *testing.T) {
 	q := &catalog.Query{Relations: []catalog.Relation{
 		{Name: "a", Cardinality: 50}, {Name: "b", Cardinality: 10}, {Name: "c", Cardinality: 30},
 		{Name: "d", Cardinality: 10}, {Name: "e", Cardinality: 30}, {Name: "f", Cardinality: 5},
+		{Name: "g", Cardinality: 40}, {Name: "h", Cardinality: 20}, {Name: "i", Cardinality: 60},
+		{Name: "j", Cardinality: 40}, {Name: "k", Cardinality: 1}, {Name: "l", Cardinality: 40},
 	}}
 	for i := 0; i+1 < len(q.Relations); i++ {
 		q.Predicates = append(q.Predicates, catalog.Predicate{Left: catalog.RelID(i), Right: catalog.RelID(i + 1), LeftDistinct: 5, RightDistinct: 5})
@@ -216,7 +219,7 @@ func TestSmallestStartsOrder(t *testing.T) {
 	}
 	var starts [numStarts]catalog.RelID
 	k := p.smallest(p.comps, &starts)
-	if want := []catalog.RelID{5, 1, 3, 2}; !slices.Equal(starts[:k], want) {
+	if want := []catalog.RelID{10, 5, 1, 3, 7, 2, 4, 6}; !slices.Equal(starts[:k], want) {
 		t.Fatalf("starts %v, want %v", starts[:k], want)
 	}
 	if want := oracleStarts(p, p.comps); !slices.Equal(starts[:k], want) {

@@ -67,7 +67,7 @@ func (b Bitset) Count() int {
 func (b Bitset) CopyFrom(o Bitset) { copy(b, o) }
 
 // CSR is the flat adjacency view of a Graph: the incidences of vertex v
-// live at Nbr/EdgeIdx[Off[v]:Off[v+1]], and NeighborMask(v) is v's
+// live at Nbr/EdgeIdx[Off[v]:Off[v+1]], and neighborMask(v) is v's
 // neighbor set as a Bitset. Built once per query by New; immutable.
 type CSR struct {
 	words int
@@ -83,10 +83,10 @@ type CSR struct {
 	masks []uint64
 }
 
-// NeighborMask returns v's neighbor set. Callers must not modify it.
+// neighborMask returns v's neighbor set. Callers must not modify it.
 //
 //ljqlint:hotpath
-func (c *CSR) NeighborMask(v catalog.RelID) Bitset {
+func (c *CSR) neighborMask(v catalog.RelID) Bitset {
 	return Bitset(c.masks[int(v)*c.words : (int(v)+1)*c.words])
 }
 

@@ -52,11 +52,11 @@ func New(q *catalog.Query) *Graph {
 	c.masks = make([]uint64, n*c.words)
 	for _, p := range q.Predicates {
 		p.Normalize()
-		if c.NeighborMask(p.Left).Test(p.Right) {
+		if c.neighborMask(p.Left).Test(p.Right) {
 			continue
 		}
-		c.NeighborMask(p.Left).Set(p.Right)
-		c.NeighborMask(p.Right).Set(p.Left)
+		c.neighborMask(p.Left).Set(p.Right)
+		c.neighborMask(p.Right).Set(p.Left)
 		g.edges = append(g.edges, Edge{
 			From:         p.Left,
 			To:           p.Right,
