@@ -14,9 +14,9 @@ var benchSink float64
 
 // BenchmarkGreedyPlan20 is the Tier-1 steady-state number: replanning
 // the smoke workload's 20-join query (21 relations, same generator seed
-// as serve's TestSmokeEndToEnd) from its eight smallest relations, with
-// 0 allocs/op — the planner is built once and every Plan call reuses
-// its buffers. Budgeted in ALLOC_BUDGETS.json.
+// as serve's TestSmokeEndToEnd) from its eight smallest relations under
+// both criteria, with 0 allocs/op — the planner is built once and every
+// Plan call reuses its buffers. Budgeted in ALLOC_BUDGETS.json.
 func BenchmarkGreedyPlan20(b *testing.B) { benchmarkPlan(b, 20) }
 
 // BenchmarkGreedyPlan100 is the same at the paper's largest N.
@@ -57,9 +57,34 @@ func benchmarkColdPlan(b *testing.B, joins int) {
 	}
 }
 
-// BenchmarkGreedyStart20 grows one order of BenchmarkGreedyPlan20's
-// query from its smallest relation: the per-start cost Plan pays up to
-// eight times.
+// BenchmarkGreedyColdMix is the cold path over miss-overflow's sizes:
+// greedy.New plus one Plan, under one shared model as the tier
+// orchestrator plans, for each of 64 fixed workload.Default() queries
+// whose join counts are drawn uniformly from 8–40, as bench/ draws a
+// miss-overflow shape. Budgeted in ALLOC_BUDGETS.json.
+func BenchmarkGreedyColdMix(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	qs := make([]*catalog.Query, 64)
+	for i := range qs {
+		qs[i] = workload.Default().Generate(8+rng.Intn(33), rng)
+	}
+	model := cost.NewMemoryModel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			p, err := New(q, model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = p.Plan().TotalCost
+		}
+	}
+}
+
+// BenchmarkGreedyStart20 grows one min-cost order of
+// BenchmarkGreedyPlan20's query from its smallest relation: the
+// per-start cost Plan pays up to eight times under minCost.
 func BenchmarkGreedyStart20(b *testing.B) {
 	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
 	p, err := New(q, cost.NewMemoryModel())
@@ -72,7 +97,7 @@ func BenchmarkGreedyStart20(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, benchSink, _ = p.grow(lo, hi, starts[0], math.Inf(1))
+		_, benchSink, _ = p.grow(lo, hi, starts[0], math.Inf(1), minCost)
 	}
 }
 

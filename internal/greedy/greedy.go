@@ -4,44 +4,56 @@
 // anytime search (internal/core) upgrades the cached entry in the
 // background.
 //
-// The algorithm is the classic min-cost expansion over the join graph
-// (the "When Greedy Beats Optimal" recipe excerpted in SNIPPETS.md),
-// run from several starts as the paper's augmentation heuristic does
-// (§4.1, Figure 3). Per connected component, an order grows from a
-// start relation by repeatedly appending the joinable relation whose
-// next join is cheapest under the cost model. Plan grows one order
-// from each of the component's eight smallest relations, taken in
+// The algorithm is the paper's augmentation heuristic (§4.1, Figure 3)
+// under two chooseNext criteria. Per connected component, an order
+// grows from a start relation by repeatedly appending one joinable
+// relation: under minCost the one whose next join is cheapest under
+// the cost model (the min-cost expansion of the "When Greedy Beats
+// Optimal" recipe excerpted in SNIPPETS.md, close to the paper's
+// criterion 4), under minSel the one with the smallest join
+// selectivity into the order so far (criterion 3, which §4.1's Table 1
+// finds best). Plan grows one order under minCost from each of the
+// component's eight smallest relations, taken in
 // heuristics.Augmentation's first-relation order (effective
-// cardinality, then ID), and keeps the strictly cheapest; a tie keeps
-// the earlier start. A start is abandoned as soon as its running total
-// reaches the best complete total: join costs are non-negative, so it
-// can no longer win.
+// cardinality, then ID); on a connected query it then grows one under
+// minSel from each of the same eight. It keeps the strictly cheapest;
+// a tie keeps the earlier order, so a minCost order over a minSel one.
+// A start is abandoned as soon as its running total reaches the best
+// complete total: join costs are non-negative, so it can no longer
+// win. The minCost orders stay candidates, so a connected query never
+// costs more than minCost alone would give it. A disconnected query
+// plans under minCost alone: its cross products price each
+// component's final size, which a cheaper minSel order can raise.
 //
-// Each step prices only the relations in the reach set, the OR of the
-// placed relations' join-graph neighbor masks minus the placed ones,
-// in ascending ID order. A relation outside it would be a cross
-// product, which a connected component never needs, so it is never
-// priced. Joins are sized by estimate.Stats — distinct-value
-// propagation and histograms included — with the arithmetic
-// plan.Evaluator prices with, so a component's cost equals the
-// evaluator's cost of its order bit for bit. A relation's selectivity
-// into the placed set changes only when one of its neighbors is
-// placed, so placing a relation re-prices each unplaced neighbor's
-// selectivity once — a neighbor entering the reach set takes the one
-// factor of its edge (estimate.Stats.NeighborSelectivity), one already
-// in it multiplies its factors again
-// (estimate.Stats.UnclampedSelectivityInto) — and the planner keeps
-// the product with its threshold. A step sizes a candidate as
-// size·card·sel while the prefix size is at or above that threshold,
-// and through estimate.Stats.JoinSize once the prefix has shrunk below
-// a distinct count the product varies with. Components are then
-// concatenated smallest-final-size-first with cross products priced
-// between them and their costs summed in that order, matching
+// Each step considers only the relations in the reach set, the OR of
+// the placed relations' join-graph neighbor masks minus the placed
+// ones, in ascending ID order. A relation outside it would be a cross
+// product, which a connected component never needs. Joins are sized by
+// estimate.Stats — distinct-value propagation and histograms included
+// — with the arithmetic plan.Evaluator prices with, so a component's
+// cost equals the evaluator's cost of its order bit for bit. A
+// relation's selectivity into the placed set changes only when one of
+// its neighbors is placed, so placing a relation re-prices each
+// unplaced neighbor's selectivity once — a neighbor entering the reach
+// set takes the one factor of its edge
+// (estimate.Stats.NeighborSelectivity), one already in it multiplies
+// its factors again (estimate.Stats.UnclampedSelectivityInto) — and the
+// planner keeps the product with its threshold. The product is the
+// selectivity while the prefix size is at or above that threshold;
+// below it, once the prefix has shrunk below a distinct count the
+// product varies with, estimate.Stats.SelectivityInto clamps the
+// factors. A minCost step prices every reach member's join. A minSel
+// step compares selectivities and prices only the relation it picks;
+// below a member's threshold its product is a lower bound of its
+// selectivity, so a member whose product is not below the incumbent's
+// selectivity is passed over without SelectivityInto. Components are
+// then concatenated smallest-final-size-first with cross products
+// priced between them and their costs summed in that order, matching
 // plan.Assemble's postpone-cross-products total.
 //
 // Determinism: the planner is a pure function of (query, model). Ties
 // are broken by the lowest canonical relation ID (candidates are
-// priced in ascending ID order and only a strictly cheaper join
+// scanned in ascending ID order and only a strictly better score
 // displaces the incumbent pick, as only a strictly cheaper order
 // displaces an earlier start's), so two runs over the same canonical
 // query produce byte-identical orders.
@@ -54,11 +66,11 @@
 // ceiling in ALLOC_BUDGETS.json.
 //
 // The package deliberately does not charge a cost.Budget: greedy work
-// is bounded by construction. A start over a component of V relations
-// prices at most V(V−1)/2 joins, so a plan makes at most
-// 8·V(V−1)/2 JoinCost calls per component, plus one per cross product,
-// and the Result's Work counter reports the exact count after the
-// fact.
+// is bounded by construction. Over a component of V relations a minCost
+// start prices at most V(V−1)/2 joins and a minSel start V−1, so a plan
+// makes at most 8·V(V−1)/2 + 8·(V−1) JoinCost calls per component,
+// plus one per cross product, and the Result's Work counter reports
+// the exact count after the fact.
 package greedy
 
 import (
@@ -123,8 +135,8 @@ func (r *Result) ToPlan() *plan.Plan {
 }
 
 // numStarts is how many of a component's smallest relations Plan grows
-// an order from. The plan-quality gate (quality_test.go) prices what a
-// different count would buy.
+// an order from under each criterion. The plan-quality gate
+// (quality_test.go) prices what a different count would buy.
 const numStarts = 8
 
 // Planner is a reusable greedy planner for one query. Build with New
@@ -260,28 +272,40 @@ func (p *Planner) Plan() *Result {
 
 // planComponent orders component c into the scratch buffer, recording
 // its final size and summed join cost: it grows an order from each of
-// the component's numStarts smallest relations and keeps the strictly
-// cheapest, the earliest start on a tie.
+// the component's numStarts smallest relations under minCost, then, on
+// a connected query, from the same starts under minSel, and keeps the
+// strictly cheapest, the earliest on a tie.
 //
 //ljqlint:hotpath
 func (p *Planner) planComponent(c int) {
 	a, b := int(p.compOff[c]), int(p.compOff[c+1])
 	var starts [numStarts]catalog.RelID
 	k := p.smallest(p.comps[a:b], &starts)
-	for i, s := range starts[:k] {
-		// The first start has no bound to reach: a NaN bound compares
-		// false, so it always completes.
-		bound := math.NaN()
-		if i > 0 {
-			bound = p.segCost[c]
-		}
-		size, total, done := p.grow(a, b, s, bound)
+	// The first start has no bound to reach: a NaN bound compares
+	// false, so it always completes.
+	p.growStarts(c, starts[:k], math.NaN(), minCost)
+	// A cheaper minSel order can end in a larger result, which the
+	// cross products of a disconnected query multiply.
+	if len(p.compOff) == 2 {
+		p.growStarts(c, starts[:k], p.segCost[c], minSel)
+	}
+}
+
+// growStarts grows an order of component c under crit from each start
+// in turn, each bounded by the cheapest total so far, and copies each
+// it completes into the scratch buffer with its final size and cost.
+//
+//ljqlint:hotpath
+func (p *Planner) growStarts(c int, starts []catalog.RelID, bound float64, crit criterion) {
+	a, b := int(p.compOff[c]), int(p.compOff[c+1])
+	for _, s := range starts {
+		size, total, done := p.grow(a, b, s, bound, crit)
 		if !done {
 			continue
 		}
 		copy(p.scratch[a:b], p.grown[a:b])
-		p.segSize[c] = size
-		p.segCost[c] = total
+		p.segSize[c], p.segCost[c] = size, total
+		bound = total
 	}
 }
 
@@ -312,52 +336,113 @@ func (p *Planner) smallest(members []catalog.RelID, starts *[numStarts]catalog.R
 	return k
 }
 
+// A criterion is the rule by which a grow step picks the next relation
+// among the reach set's members.
+type criterion uint8
+
+const (
+	// minCost picks the relation whose join is cheapest.
+	minCost criterion = iota
+	// minSel picks the relation with the smallest selectivity into the
+	// placed set: the paper's criterion 3 (§4.1).
+	minSel
+)
+
 // grow orders the component segmented at [a, b) from start into the
-// grown buffer and returns the order's final size and summed join
-// cost. Each step appends the reachable relation whose join is
-// cheapest, the lowest ID on a tie. grow abandons the order, returning
-// done=false, as soon as its running total reaches bound.
+// grown buffer, each step appending the reachable relation crit picks,
+// and returns the order's final size and summed join cost. grow
+// abandons the order, returning done=false, as soon as its running
+// total reaches bound.
 //
 //ljqlint:hotpath
-func (p *Planner) grow(a, b int, start catalog.RelID, bound float64) (size, total float64, done bool) {
-	stats, model, sel, thr := p.stats, p.model, p.sel, p.thr
+func (p *Planner) grow(a, b int, start catalog.RelID, bound float64, crit criterion) (size, total float64, done bool) {
 	p.placed.Reset()
 	p.reach.Reset()
 	p.grown[a] = start
 	p.place(start)
-	size = stats.Cardinality(start)
+	size = p.stats.Cardinality(start)
 	for filled := a + 1; filled < b; filled++ {
-		best := catalog.RelID(-1)
-		bestCost, bestSize := 0.0, 0.0
-		for w, word := range p.reach {
-			for ; word != 0; word &= word - 1 {
-				rid := catalog.RelID(w<<6 + bits.TrailingZeros64(word))
-				card := stats.Cardinality(rid)
-				// A cached product is JoinSize's selectivity unless the
-				// prefix has shrunk below a distinct count it varies
-				// with.
-				var res float64
-				if size >= thr[rid] {
-					res = size * card * sel[rid]
-				} else {
-					res = stats.JoinSize(size, p.placed, rid)
-				}
-				jc := model.JoinCost(size, card, res)
-				p.work++
-				if best < 0 || jc < bestCost {
-					best, bestCost, bestSize = rid, jc, res
-				}
-			}
+		var next catalog.RelID
+		var jc float64
+		if crit == minSel {
+			next, jc, size = p.pickMinSel(size)
+		} else {
+			next, jc, size = p.pickMinCost(size)
 		}
-		p.grown[filled] = best
-		p.place(best)
-		size = bestSize
-		total += bestCost
+		p.grown[filled] = next
+		p.place(next)
+		total += jc
 		if total >= bound {
 			return 0, 0, false
 		}
 	}
 	return size, total, true
+}
+
+// pickMinCost prices every reach member's join with the placed set, of
+// size tuples, and returns the cheapest, the lowest ID on a tie, with
+// its join cost and result size.
+//
+//ljqlint:hotpath
+func (p *Planner) pickMinCost(size float64) (best catalog.RelID, bestCost, bestRes float64) {
+	stats, model, sel, thr := p.stats, p.model, p.sel, p.thr
+	best = -1
+	for w, word := range p.reach {
+		for ; word != 0; word &= word - 1 {
+			rid := catalog.RelID(w<<6 + bits.TrailingZeros64(word))
+			card := stats.Cardinality(rid)
+			// A cached product is JoinSize's selectivity unless the
+			// prefix has shrunk below a distinct count it varies with.
+			var res float64
+			if size >= thr[rid] {
+				res = size * card * sel[rid]
+			} else {
+				res = stats.JoinSize(size, p.placed, rid)
+			}
+			jc := model.JoinCost(size, card, res)
+			p.work++
+			if best < 0 || jc < bestCost {
+				best, bestCost, bestRes = rid, jc, res
+			}
+		}
+	}
+	return best, bestCost, bestRes
+}
+
+// pickMinSel returns the reach member with the smallest selectivity
+// into the placed set, of size tuples, the lowest ID on a tie, with its
+// join cost and result size. Only that member's join is priced. Below
+// its threshold a member's cached product is a lower bound of its
+// selectivity, since clamping only lowers a factor's divisor and
+// correctly rounded arithmetic keeps that order, so a member whose
+// product is not below the incumbent's selectivity is passed over
+// without SelectivityInto.
+//
+//ljqlint:hotpath
+func (p *Planner) pickMinSel(size float64) (best catalog.RelID, jc, res float64) {
+	stats, sel, thr := p.stats, p.sel, p.thr
+	best = -1
+	bestSel := 0.0
+	for w, word := range p.reach {
+		for ; word != 0; word &= word - 1 {
+			rid := catalog.RelID(w<<6 + bits.TrailingZeros64(word))
+			s := sel[rid]
+			if !(size >= thr[rid]) {
+				if best >= 0 && !(s < bestSel) {
+					continue
+				}
+				s = stats.SelectivityInto(size, p.placed, rid)
+			}
+			if best < 0 || s < bestSel {
+				best, bestSel = rid, s
+			}
+		}
+	}
+	// JoinSize's arithmetic, so the result matches the evaluator's.
+	card := stats.Cardinality(best)
+	res = size * card * bestSel
+	p.work++
+	return best, p.model.JoinCost(size, card, res), res
 }
 
 // place adds r to the order so far: r leaves the reach set, and each

@@ -10,7 +10,10 @@ import (
 
 	"joinopt/internal/catalog"
 	"joinopt/internal/cost"
+	"joinopt/internal/estimate"
+	"joinopt/internal/heuristics"
 	"joinopt/internal/joingraph"
+	"joinopt/internal/testutil"
 	"joinopt/internal/workload"
 )
 
@@ -118,7 +121,7 @@ func oracleCorpus(t *testing.T) []oracleCase {
 	return cases
 }
 
-// TestDifferentialGreedyStartMatchesOracle pins the reach-set
+// TestDifferentialGreedyStartMatchesOracle pins the min-cost reach-set
 // expansion to the full-rescan one: from every start relation of every
 // component, grow produces the oracle's order, final size and total
 // cost, bit for bit.
@@ -134,7 +137,7 @@ func TestDifferentialGreedyStartMatchesOracle(t *testing.T) {
 				members := p.comps[a:b]
 				for _, s := range members {
 					wantOrder, wantSize, wantTotal := oracleGrow(p, members, s)
-					size, total, done := p.grow(a, b, s, math.Inf(1))
+					size, total, done := p.grow(a, b, s, math.Inf(1), minCost)
 					if !done {
 						t.Fatalf("component %d start %d: abandoned under an infinite bound", ci, s)
 					}
@@ -150,6 +153,53 @@ func TestDifferentialGreedyStartMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestDifferentialGreedySelStartMatchesAugmentation pins the minSel
+// grow to the paper's augmentation heuristic under criterion 3: from
+// every start relation of every component, grow produces the order
+// heuristics.Augmentation generates with CriterionMinSel, and its total
+// is plan.Evaluator's cost of that order, bit for bit.
+func TestDifferentialGreedySelStartMatchesAugmentation(t *testing.T) {
+	for _, c := range oracleCorpus(t) {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := New(c.q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eval, _ := testutil.Eval(c.q)
+			for ci := 0; ci+1 < len(p.compOff); ci++ {
+				a, b := int(p.compOff[ci]), int(p.compOff[ci+1])
+				members := p.comps[a:b]
+				aug := heuristics.NewAugmentation(eval, members, heuristics.CriterionMinSel)
+				for _, s := range members {
+					want := aug.Generate(s)
+					_, total, done := p.grow(a, b, s, math.Inf(1), minSel)
+					if !done {
+						t.Fatalf("component %d start %d: abandoned under an infinite bound", ci, s)
+					}
+					if !slices.Equal(p.grown[a:b], want) {
+						t.Fatalf("component %d start %d: order %v, augmentation %v", ci, s, p.grown[a:b], want)
+					}
+					if got := eval.Cost(want); math.Float64bits(got) != math.Float64bits(total) {
+						t.Fatalf("component %d start %d: total %g, evaluator %g", ci, s, total, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// oraclePrice returns order's final size and summed join cost, sized by
+// an estimate.Prefix over p's statistics.
+func oraclePrice(p *Planner, order []catalog.RelID) (size, total float64) {
+	pre := estimate.NewPrefix(p.stats)
+	pre.Extend(order[0])
+	for _, r := range order[1:] {
+		outer, inner, res := pre.Extend(r)
+		total += p.model.JoinCost(outer, inner, res)
+	}
+	return pre.Size(), total
+}
+
 // countingModel counts the JoinCost calls it answers.
 type countingModel struct {
 	cost.Model
@@ -161,10 +211,13 @@ func (m *countingModel) JoinCost(outer, inner, result float64) float64 {
 	return m.Model.JoinCost(outer, inner, result)
 }
 
-// TestDifferentialGreedyPlanMatchesOracle pins Plan to the oracle
-// grown from each component's numStarts smallest relations: every
-// component gets the strictly cheapest of those orders, the earliest
-// start on a tie, and Work counts every JoinCost call Plan made.
+// TestDifferentialGreedyPlanMatchesOracle pins Plan to its oracles
+// grown from each component's numStarts smallest relations: the
+// full-rescan min-cost planner's and, on a connected query, then
+// heuristics.Augmentation's under CriterionMinSel. Every component gets
+// the strictly cheapest of those orders, the earliest on a tie, so it
+// never costs more than the min-cost starts alone, and Work counts
+// every JoinCost call Plan made.
 func TestDifferentialGreedyPlanMatchesOracle(t *testing.T) {
 	for _, c := range oracleCorpus(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -177,22 +230,38 @@ func TestDifferentialGreedyPlanMatchesOracle(t *testing.T) {
 			if res.Work != m.calls {
 				t.Fatalf("Work %d, JoinCost called %d times", res.Work, m.calls)
 			}
+			eval, _ := testutil.Eval(c.q)
+			connected := len(p.compOff) == 2
 			for ci := 0; ci+1 < len(p.compOff); ci++ {
 				a, b := int(p.compOff[ci]), int(p.compOff[ci+1])
 				members := p.comps[a:b]
+				starts := oracleStarts(p, members)
 				var wantOrder []catalog.RelID
 				var wantSize, wantTotal float64
-				for i, s := range oracleStarts(p, members) {
+				for i, s := range starts {
 					order, size, total := oracleGrow(p, members, s)
 					if i == 0 || total < wantTotal {
 						wantOrder, wantSize, wantTotal = order, size, total
 					}
 				}
+				minCostTotal := wantTotal
+				if connected {
+					aug := heuristics.NewAugmentation(eval, members, heuristics.CriterionMinSel)
+					for _, s := range starts {
+						order := aug.Generate(s)
+						if size, total := oraclePrice(p, order); total < wantTotal {
+							wantOrder, wantSize, wantTotal = order, size, total
+						}
+					}
+				}
 				if !slices.Equal(p.scratch[a:b], wantOrder) {
-					t.Fatalf("component %d: order %v, cheapest oracle start %v", ci, p.scratch[a:b], wantOrder)
+					t.Fatalf("component %d: order %v, oracle %v", ci, p.scratch[a:b], wantOrder)
 				}
 				if math.Float64bits(p.segCost[ci]) != math.Float64bits(wantTotal) || math.Float64bits(p.segSize[ci]) != math.Float64bits(wantSize) {
 					t.Fatalf("component %d: total/size %g/%g, oracle %g/%g", ci, p.segCost[ci], p.segSize[ci], wantTotal, wantSize)
+				}
+				if p.segCost[ci] > minCostTotal {
+					t.Fatalf("component %d: cost %g above the min-cost starts' %g", ci, p.segCost[ci], minCostTotal)
 				}
 			}
 		})

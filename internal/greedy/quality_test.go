@@ -17,6 +17,7 @@ import (
 	"joinopt/internal/catalog"
 	"joinopt/internal/core"
 	"joinopt/internal/cost"
+	"joinopt/internal/dp"
 	"joinopt/internal/fingerprint"
 	"joinopt/internal/plan"
 	"joinopt/internal/workload"
@@ -39,10 +40,19 @@ const (
 )
 
 // beatSlack is the relative margin by which a plan must undercut its
-// best-known cost to count as beating it: enough to absorb a fused
-// multiply-add on another architecture, far below any real
+// best-known cost or its bound to count as beating it: enough to absorb
+// a fused multiply-add on another architecture, far below any real
 // improvement.
 const beatSlack = 1e-9
+
+// tier1Ceiling is the largest multiple of its best-known cost a Tier-1
+// plan may reach, exclusive.
+const tier1Ceiling = 1e4
+
+// boundJoins is the largest join count whose queries the golden file
+// records a certified lower bound for: dp.Optimal handles up to
+// dp.MaxDPRelations relations.
+const boundJoins = 20
 
 // qualityQuery is one corpus query, canonically relabeled as ljqd
 // plans it.
@@ -97,20 +107,37 @@ func iaiCost(t *testing.T, cq *catalog.Query, incumbent plan.Perm, tc float64, s
 	return pl.TotalCost
 }
 
-// kStartCost is the cost of the cheapest order grown from p's k
-// smallest relations (every relation when k ≥ N) on a one-component
-// query: what Plan would return were numStarts k.
+// kStartCost is the cost of the cheapest order grown under either
+// criterion from p's k smallest relations (every relation when k ≥ N)
+// on a one-component query: what Plan would return were numStarts k.
 func kStartCost(p *Planner, k int) float64 {
 	a, b := int(p.compOff[0]), int(p.compOff[1])
 	starts := slices.Clone(p.comps[a:b])
 	sortStarts(p, starts)
 	best := math.Inf(1)
-	for _, s := range starts[:min(k, len(starts))] {
-		if _, total, _ := p.grow(a, b, s, math.Inf(1)); total < best {
-			best = total
+	for _, crit := range []criterion{minCost, minSel} {
+		for _, s := range starts[:min(k, len(starts))] {
+			if _, total, _ := p.grow(a, b, s, math.Inf(1), crit); total < best {
+				best = total
+			}
 		}
 	}
 	return best
+}
+
+// staticBound is the optimum of the one-component query cq under the
+// static estimator, which dp.Optimal computes exactly. Every dynamic
+// selectivity factor is at least its static one and the memory model
+// is monotone, so no order of cq costs less than this under the
+// dynamic estimator that serving prices with.
+func staticBound(t *testing.T, cq *catalog.Query) float64 {
+	t.Helper()
+	eval := oracleEval(t, cq)
+	_, c, err := dp.Optimal(eval, eval.Stats().Graph().Components()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // qualitySummary is one per-N summary of cost ÷ best known.
@@ -150,19 +177,26 @@ func fmtRatio(x float64) string { return strconv.FormatFloat(x, 'g', 6, 64) }
 // tiers and of IAI at t=81 over seeds 1–3, recorded as exact float
 // bits in testdata/quality.golden together with each tier's per-N
 // summaries: geometric mean, p90, maximum and the share at ten times
-// the best or more. The gate fails when a summary worsens past its
-// tolerance, or when a plan beats its best-known cost: the golden is
+// the best or more. For the queries of at most boundJoins joins the
+// golden also records staticBound, a certified lower bound. The gate
+// fails when a summary worsens past its tolerance, when a Tier-1 plan
+// reaches tier1Ceiling times its best known, when a cost falls below
+// its bound, or when a plan beats its best-known cost: the golden is
 // then stale and `go test ./internal/greedy -run TestPlanQualityGate
-// -update` regenerates it. With -v it also reports what one,
-// eight and every start would give Tier 1.
+// -update` regenerates it. It reports each tier's cost ÷ bound, a
+// certified gap. With -v it also reports what one, eight and every
+// start would give Tier 1, and Tier 2 at seeds 2–4.
 func TestPlanQualityGate(t *testing.T) {
 	corpus := qualityCorpus(t)
 	tier1 := make([]float64, len(corpus))
 	tier2 := make([]float64, len(corpus))
 	orders := make([]plan.Perm, len(corpus))
-	// Tier 1 from one, eight and every start, reported with -v.
+	// Tier 1 from one, eight and every start, and Tier 2 at seeds 2–4,
+	// reported with -v.
 	otherStarts := []int{1, 8, math.MaxInt}
 	otherCosts := make([][]float64, len(otherStarts))
+	otherSeeds := []int64{2, 3, 4}
+	seedCosts := make([][]float64, len(otherSeeds))
 	for i, q := range corpus {
 		p, err := New(q.cq, nil)
 		if err != nil {
@@ -179,19 +213,22 @@ func TestPlanQualityGate(t *testing.T) {
 			for j, k := range otherStarts {
 				otherCosts[j] = append(otherCosts[j], kStartCost(p, k))
 			}
+			for j, seed := range otherSeeds {
+				seedCosts[j] = append(seedCosts[j], iaiCost(t, q.cq, orders[i], 9, seed))
+			}
 		}
 	}
 
 	if *update {
 		writeQualityGolden(t, corpus, orders, tier1, tier2)
 	}
-	best, want := readQualityGolden(t)
+	best, bound, want := readQualityGolden(t)
 
-	ratios := func(costs []float64, n int) []float64 {
+	ratios := func(costs []float64, n int, denom map[string]float64) []float64 {
 		var out []float64
 		for i, q := range corpus {
 			if q.joins == n {
-				out = append(out, costs[i]/best[q.name])
+				out = append(out, costs[i]/denom[q.name])
 			}
 		}
 		return out
@@ -201,16 +238,33 @@ func TestPlanQualityGate(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no best-known cost in %s; regenerate with -update", q.name, qualityGolden)
 		}
+		lb, bounded := bound[q.name]
+		if q.joins <= boundJoins && !bounded {
+			t.Fatalf("%s: no bound in %s; regenerate with -update", q.name, qualityGolden)
+		}
+		if tier1[i] >= tier1Ceiling*b {
+			t.Errorf("%s: tier 1 cost %g is %.4gx the best known %g, at or past the %gx ceiling", q.name, tier1[i], tier1[i]/b, b, tier1Ceiling)
+		}
 		for tier, c := range []float64{tier1[i], tier2[i]} {
 			if c < b*(1-beatSlack) {
 				t.Errorf("%s: tier %d cost %g beats the best known %g; regenerate %s with -update", q.name, tier+1, c, b, qualityGolden)
 			}
+			if bounded && c < lb*(1-beatSlack) {
+				t.Errorf("%s: tier %d cost %g falls below its bound %g", q.name, tier+1, c, lb)
+			}
 		}
 	}
+	bestCosts := make([]float64, len(corpus))
+	for i, q := range corpus {
+		bestCosts[i] = best[q.name]
+	}
 	for _, n := range qualityJoins {
+		if n <= boundJoins {
+			t.Logf("best n=%d / bound: %v", n, summarize(ratios(bestCosts, n, bound)))
+		}
 		for tier, costs := range [][]float64{tier1, tier2} {
 			key := fmt.Sprintf("tier%d n=%d", tier+1, n)
-			got := summarize(ratios(costs, n))
+			got := summarize(ratios(costs, n, best))
 			t.Logf("%s: %v", key, got)
 			w, ok := want[key]
 			if !ok {
@@ -220,6 +274,9 @@ func TestPlanQualityGate(t *testing.T) {
 				got.max > w.max*(1+maxTolerance) || got.share10 > w.share10+shareSlack {
 				t.Errorf("%s worsened: %v, golden %v", key, got, w)
 			}
+			if n <= boundJoins {
+				t.Logf("%s / bound: %v", key, summarize(ratios(costs, n, bound)))
+			}
 		}
 		if testing.Verbose() {
 			for j, k := range otherStarts {
@@ -227,7 +284,10 @@ func TestPlanQualityGate(t *testing.T) {
 				if k > n {
 					label = "all"
 				}
-				t.Logf("tier1 n=%d starts=%s: %v", n, label, summarize(ratios(otherCosts[j], n)))
+				t.Logf("tier1 n=%d starts=%s: %v", n, label, summarize(ratios(otherCosts[j], n, best)))
+			}
+			for j, seed := range otherSeeds {
+				t.Logf("tier2 n=%d seed=%d: %v", n, seed, summarize(ratios(seedCosts[j], n, best)))
 			}
 		}
 	}
@@ -235,12 +295,16 @@ func TestPlanQualityGate(t *testing.T) {
 
 // writeQualityGolden records each query's best-known cost, the
 // minimum of its two tiers and of IAI at t=81 over seeds 1–3 from
-// Plan's order, then each tier's per-N summaries against it.
+// Plan's order, and the staticBound of each query of at most
+// boundJoins joins, then each tier's per-N summaries against best
+// known.
 func writeQualityGolden(t *testing.T, corpus []qualityQuery, orders []plan.Perm, tier1, tier2 []float64) {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString("# Best-known plan costs (float64 bits) of TestPlanQualityGate's corpus,\n")
-	sb.WriteString("# and each tier's per-N summary of cost / best known. Regenerate with\n")
+	sb.WriteString("# certified lower bounds (float64 bits; the static-estimator DP optimum)\n")
+	sb.WriteString(fmt.Sprintf("# of its queries of at most %d joins, and each tier's per-N summary of\n", boundJoins))
+	sb.WriteString("# cost / best known. Regenerate with\n")
 	sb.WriteString("# go test ./internal/greedy -run TestPlanQualityGate -update\n")
 	best := make(map[string]float64, len(corpus))
 	for i, q := range corpus {
@@ -250,6 +314,11 @@ func writeQualityGolden(t *testing.T, corpus []qualityQuery, orders []plan.Perm,
 		}
 		best[q.name] = b
 		fmt.Fprintf(&sb, "best %s %016x\n", q.name, math.Float64bits(b))
+	}
+	for _, q := range corpus {
+		if q.joins <= boundJoins {
+			fmt.Fprintf(&sb, "bound %s %016x\n", q.name, math.Float64bits(staticBound(t, q.cq)))
+		}
 	}
 	for _, n := range qualityJoins {
 		for tier, costs := range [][]float64{tier1, tier2} {
@@ -271,7 +340,7 @@ func writeQualityGolden(t *testing.T, corpus []qualityQuery, orders []plan.Perm,
 }
 
 // readQualityGolden parses the golden file writeQualityGolden wrote.
-func readQualityGolden(t *testing.T) (best map[string]float64, summaries map[string]qualitySummary) {
+func readQualityGolden(t *testing.T) (best, bound map[string]float64, summaries map[string]qualitySummary) {
 	t.Helper()
 	f, err := os.Open(qualityGolden)
 	if err != nil {
@@ -279,18 +348,23 @@ func readQualityGolden(t *testing.T) (best map[string]float64, summaries map[str
 	}
 	defer f.Close()
 	best = make(map[string]float64)
+	bound = make(map[string]float64)
 	summaries = make(map[string]qualitySummary)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		switch {
 		case len(fields) == 0 || strings.HasPrefix(fields[0], "#"):
-		case fields[0] == "best" && len(fields) == 3:
+		case (fields[0] == "best" || fields[0] == "bound") && len(fields) == 3:
 			bits, err := strconv.ParseUint(fields[2], 16, 64)
 			if err != nil {
 				t.Fatalf("%s: %q: %v", qualityGolden, sc.Text(), err)
 			}
-			best[fields[1]] = math.Float64frombits(bits)
+			dst := best
+			if fields[0] == "bound" {
+				dst = bound
+			}
+			dst[fields[1]] = math.Float64frombits(bits)
 		case fields[0] == "summary" && len(fields) == 7:
 			var s qualitySummary
 			for i, dst := range []*float64{&s.gmean, &s.p90, &s.max, &s.share10} {
@@ -307,5 +381,5 @@ func readQualityGolden(t *testing.T) (best map[string]float64, summaries map[str
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return best, summaries
+	return best, bound, summaries
 }
