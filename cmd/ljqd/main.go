@@ -106,7 +106,7 @@ func main() {
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-request optimization deadline")
 		cacheSize    = flag.Int("cache-size", 4096, "plan cache capacity (entries)")
 		cacheShards  = flag.Int("cache-shards", 16, "plan cache shard count (rounded up to a power of two)")
-		costAware    = flag.Bool("cache-cost-aware", true, "cost-aware admission: don't evict expensive plans for cheap ones")
+		costAware    = flag.Bool("cache-cost-aware", true, "cost-aware admission: don't evict expensive plans for cheap ones, and let a greedy plan into a full cache shard only on its shape's second miss")
 		cacheDir     = flag.String("cache-dir", "", "directory for the durable plan cache (empty = in-memory only)")
 		compactEvery = flag.Int("cache-compact-every", 256, "journal appends between compacting snapshots")
 		grace        = flag.Duration("grace", 15*time.Second, "shutdown drain deadline")

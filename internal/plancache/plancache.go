@@ -23,6 +23,15 @@
 //     displaced by one that took 10k. If no admissible victim is found
 //     within the scan window the candidate is simply not cached (it is
 //     still returned to its requesters).
+//   - Doorkeeper: under cost-aware admission, a miss's Tier-1 entry
+//     that would have to displace a resident of a full shard enters
+//     only on its key's second miss (TinyLFU's doorkeeper: Einziger,
+//     Friedman & Manes, ACM TOS 2017). Each shard remembers the keys
+//     it refused in a Bloom filter, so a shape that never comes back
+//     costs no eviction, and the serving layer schedules no upgrade
+//     and journals nothing for it; a shape that does come back is
+//     admitted by the cost rule on its next miss. Hits, Put, Warm,
+//     WarmAll, Tier-2 entries and shards with room never consult it.
 //   - Degraded plans (cancelled, panicked, starved runs — see the
 //     anytime contract in internal/plan) are never admitted unless
 //     AdmitDegraded is set: a plan truncated by one caller's deadline
@@ -36,7 +45,9 @@ package plancache
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -105,12 +116,12 @@ type Config struct {
 	// Shards is rounded up to a power of two (default 16).
 	Shards int
 	// CostAware enables cost-aware admission: an incoming entry may
-	// only evict a victim whose BudgetUsed does not exceed its own.
+	// only evict a victim whose BudgetUsed does not exceed its own,
+	// found among its shard's admissionScan least recent entries. It
+	// also arms the doorkeeper: a miss's Tier-1 entry that would have to
+	// displace a resident of a full shard is refused on its key's first
+	// miss and weighed by the cost rule on the next.
 	CostAware bool
-	// AdmissionScan is how many LRU-end entries are considered as
-	// eviction victims under CostAware before the candidate is
-	// rejected (default 4).
-	AdmissionScan int
 	// AdmitDegraded admits plans flagged Degraded (default false:
 	// degraded plans are returned to their requesters but not cached).
 	AdmitDegraded bool
@@ -131,10 +142,20 @@ func (c *Config) fill() {
 		c.Shards = 16
 	}
 	c.Shards = ceilPow2(c.Shards)
-	if c.AdmissionScan <= 0 {
-		c.AdmissionScan = 4
-	}
 }
+
+// admissionScan is how many LRU-end entries cost-aware admission
+// considers as eviction victims before it refuses the candidate.
+const admissionScan = 4
+
+// The doorkeeper holds doorBitsPerSlot bits per slot of shard capacity
+// and is cleared after recording doorWindow keys per slot. With its two
+// probes, that keeps false positives near (1 − e^(−2·8/64))² ≈ 5% at
+// the end of a window.
+const (
+	doorBitsPerSlot = 64
+	doorWindow      = 8
+)
 
 func ceilPow2(n int) int {
 	p := 1
@@ -152,6 +173,10 @@ type Stats struct {
 	Coalesced uint64 `json:"coalesced"`
 	Evictions uint64 `json:"evictions"`
 	Rejected  uint64 `json:"rejected"`
+	// FirstMissRefused counts the Rejected entries that the doorkeeper
+	// refused because their key had not missed before: "not repeated
+	// yet", as opposed to "too light to evict".
+	FirstMissRefused uint64 `json:"firstMissRefused"`
 	// Warmed counts entries admitted through the recovery path (Warm)
 	// rather than by live optimizations.
 	Warmed uint64 `json:"warmed"`
@@ -188,18 +213,18 @@ type Cache struct {
 	perShard int
 
 	costAware     bool
-	admissionScan int
 	admitDegraded bool
 	trace         *telemetry.Tracer
 	hooks         atomic.Pointer[Hooks]
 
-	hits         atomic.Uint64
-	misses       atomic.Uint64
-	coalesced    atomic.Uint64
-	evictions    atomic.Uint64
-	rejected     atomic.Uint64
-	warmed       atomic.Uint64
-	tierRejected atomic.Uint64
+	hits             atomic.Uint64
+	misses           atomic.Uint64
+	coalesced        atomic.Uint64
+	evictions        atomic.Uint64
+	rejected         atomic.Uint64
+	firstMissRefused atomic.Uint64
+	warmed           atomic.Uint64
+	tierRejected     atomic.Uint64
 	// targetedEvictions counts EvictWhere removals (cluster ownership
 	// eviction), distinct from capacity-pressure evictions.
 	targetedEvictions atomic.Uint64
@@ -217,7 +242,6 @@ func New(cfg Config) *Cache {
 		mask:          uint64(cfg.Shards - 1),
 		perShard:      per,
 		costAware:     cfg.CostAware,
-		admissionScan: cfg.AdmissionScan,
 		admitDegraded: cfg.AdmitDegraded,
 		trace:         cfg.Trace,
 	}
@@ -498,7 +522,7 @@ func (c *Cache) insertLocked(s *shard, e *Entry) *Entry {
 		return n.entry
 	}
 	if len(s.items) >= c.perShard {
-		v := s.evictionVictim(c.costAware, c.admissionScan, e.BudgetUsed)
+		v := s.evictionVictim(c.costAware, e.BudgetUsed)
 		if v == nil {
 			c.rejected.Add(1)
 			return nil
@@ -580,22 +604,44 @@ func (c *Cache) run(ctx context.Context, s *shard, k Key, fl *flight, compute fu
 }
 
 // finish publishes a flight's result: admits the entry, removes the
-// flight, and wakes every waiter. Idempotence is not needed — each
-// flight finishes exactly once (the recover path only runs when the
-// normal path did not).
+// flight, and wakes every waiter. A Tier-1 entry headed for a full
+// cost-aware shard passes the doorkeeper (firstMiss) before the cost
+// rule. Idempotence is not needed — each flight finishes exactly once
+// (the recover path only runs when the normal path did not).
 func (c *Cache) finish(s *shard, k Key, fl *flight) {
 	var stored *Entry
+	e := fl.entry
 	s.mu.Lock()
-	if fl.err == nil && fl.entry != nil && fl.entry.Plan != nil &&
-		(!fl.entry.Plan.Degraded || c.admitDegraded) {
-		stored = c.insertLocked(s, fl.entry)
-	} else if fl.err == nil && fl.entry != nil {
+	switch {
+	case fl.err != nil || e == nil:
+	case e.Plan == nil || (e.Plan.Degraded && !c.admitDegraded):
 		c.rejected.Add(1)
+	case c.firstMiss(s, e):
+		c.rejected.Add(1)
+		c.firstMissRefused.Add(1)
+	default:
+		stored = c.insertLocked(s, e)
 	}
 	delete(s.flights, k)
 	s.mu.Unlock()
 	close(fl.done)
 	c.fireHooks(stored)
+}
+
+// firstMiss is the doorkeeper: it reports whether a miss's entry e
+// must be refused because its key has not missed before. Only a Tier-1
+// entry that would have to displace a resident of a full cost-aware
+// shard is checked. Its key's first sighting is recorded in the shard's
+// filter and refused; a later miss of the key goes on to the cost rule.
+// The caller holds s.mu.
+func (c *Cache) firstMiss(s *shard, e *Entry) bool {
+	if !c.costAware || e.Tier != TierGreedy || len(s.items) < c.perShard {
+		return false
+	}
+	if _, resident := s.items[e.Fingerprint]; resident {
+		return false
+	}
+	return !s.door.seen(e.Fingerprint, c.perShard)
 }
 
 // wait blocks until the flight resolves or ctx expires, whichever is
@@ -633,6 +679,7 @@ func (c *Cache) Stats() Stats {
 		Coalesced:         c.coalesced.Load(),
 		Evictions:         c.evictions.Load(),
 		Rejected:          c.rejected.Load(),
+		FirstMissRefused:  c.firstMissRefused.Load(),
 		Warmed:            c.warmed.Load(),
 		TierRejected:      c.tierRejected.Load(),
 		TargetedEvictions: c.targetedEvictions.Load(),
@@ -661,7 +708,8 @@ func (c *Cache) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_misses_total", "Plan cache misses.", c.misses.Load)
 	reg.CounterFunc(prefix+"_coalesced_total", "Requests coalesced onto another request's in-flight optimization.", c.coalesced.Load)
 	reg.CounterFunc(prefix+"_evictions_total", "Entries evicted to admit newer plans.", c.evictions.Load)
-	reg.CounterFunc(prefix+"_rejected_total", "Entries refused admission (degraded plans, cost-aware policy).", c.rejected.Load)
+	reg.CounterFunc(prefix+"_rejected_total", "Entries refused admission (degraded plans, cost-aware policy, doorkeeper).", c.rejected.Load)
+	reg.CounterFunc(prefix+"_first_miss_refused_total", "Tier-1 entries refused on their key's first miss into a full shard (the doorkeeper; also in _rejected_total).", c.firstMissRefused.Load)
 	reg.CounterFunc(prefix+"_tier_downgrades_refused_total", "Inserts refused because they would downgrade a cached entry's planning tier.", c.tierRejected.Load)
 	reg.CounterFunc(prefix+"_targeted_evictions_total", "Entries removed by EvictWhere (cluster ownership eviction).", c.targetedEvictions.Load)
 	reg.GaugeFunc(prefix+"_entries", "Entries currently cached.", func() float64 {
@@ -717,14 +765,68 @@ type node struct {
 }
 
 // shard is one lock domain: an LRU list (sentinel ring), its index,
-// and the in-flight table. Entries enter, change and leave only
-// through insert, replace and drop, which keep greedy in step.
+// the in-flight table and the doorkeeper. Entries enter, change and
+// leave only through insert, replace and drop, which keep greedy in
+// step.
 type shard struct {
 	mu      sync.Mutex
 	items   map[Key]*node
 	flights map[Key]*flight
 	head    node // sentinel: head.next = most recent, head.prev = LRU
 	greedy  int  // resident entries holding Tier-1 plans
+	door    doorkeeper
+}
+
+// doorkeeper is a shard's Bloom filter of the keys whose Tier-1 miss
+// it refused. Its bits are allocated on first use, at doorBitsPerSlot
+// per slot of shard capacity, and cleared once it has recorded
+// doorWindow keys per slot.
+type doorkeeper struct {
+	bits     []uint64
+	recorded int
+}
+
+// seen reports whether k was recorded since the filter was last
+// cleared, and records k if it was not.
+func (d *doorkeeper) seen(k Key, perShard int) bool {
+	if d.bits == nil {
+		d.bits = make([]uint64, perShard*doorBitsPerSlot/64)
+	}
+	i, j := d.probes(k)
+	if d.bits[i/64]&(1<<(i%64)) != 0 && d.bits[j/64]&(1<<(j%64)) != 0 {
+		return true
+	}
+	if d.recorded == doorWindow*perShard {
+		clear(d.bits)
+		d.recorded = 0
+	}
+	d.bits[i/64] |= 1 << (i % 64)
+	d.bits[j/64] |= 1 << (j % 64)
+	d.recorded++
+	return false
+}
+
+// probes derives the filter's two bit positions from all 32 bytes of
+// k. A shard's keys share the bits of their first bytes that chose the
+// shard, so every word of k goes through a full-avalanche mix.
+func (d *doorkeeper) probes(k Key) (i, j uint64) {
+	var h uint64
+	for w := 0; w < len(k); w += 8 {
+		h = splitmix64(h ^ binary.LittleEndian.Uint64(k[w:]))
+	}
+	m := uint64(len(d.bits)) * 64
+	i, _ = bits.Mul64(h, m)
+	j, _ = bits.Mul64(splitmix64(h), m)
+	return i, j
+}
+
+// splitmix64 is one step of the SplitMix64 generator: a golden-ratio
+// increment, then its finalizer.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 func (s *shard) init() {
@@ -782,10 +884,10 @@ func (s *shard) moveFront(n *node) {
 }
 
 // evictionVictim picks the entry to displace: the LRU entry, unless
-// cost-aware admission is on, in which case the first of the scan-many
-// least-recent entries whose BudgetUsed does not exceed the
-// candidate's. nil means the candidate should be rejected.
-func (s *shard) evictionVictim(costAware bool, scan int, candidateBudget int64) *node {
+// cost-aware admission is on, in which case the first of the
+// admissionScan least-recent entries whose BudgetUsed does not exceed
+// the candidate's. nil means the candidate should be rejected.
+func (s *shard) evictionVictim(costAware bool, candidateBudget int64) *node {
 	lru := s.head.prev
 	if lru == &s.head {
 		return nil
@@ -794,7 +896,7 @@ func (s *shard) evictionVictim(costAware bool, scan int, candidateBudget int64) 
 		return lru
 	}
 	n := lru
-	for i := 0; i < scan && n != &s.head; i++ {
+	for i := 0; i < admissionScan && n != &s.head; i++ {
 		if n.entry.BudgetUsed <= candidateBudget {
 			return n
 		}

@@ -67,7 +67,7 @@ func TestPutGetLRU(t *testing.T) {
 }
 
 func TestCostAwareAdmission(t *testing.T) {
-	c := New(Config{Capacity: 2, Shards: 1, CostAware: true, AdmissionScan: 2})
+	c := New(Config{Capacity: 2, Shards: 1, CostAware: true})
 	c.Put(entry(0, 1000))
 	c.Put(entry(1, 2000))
 	// A cheap candidate may not displace expensive incumbents.
@@ -634,14 +634,14 @@ func scanTierCounts(c *Cache) (greedy, full int) {
 
 // TestTierCountsMatchFullScan drives random mixes of every way an
 // entry enters, changes tier or leaves — Put, Warm, WarmAll,
-// GetOrCompute, tier upgrades and refused downgrades, cost-aware
-// refusals, capacity evictions and EvictWhere — and checks the kept
-// counts against a full scan after each step.
+// GetOrCompute, tier upgrades and refused downgrades, cost-aware and
+// doorkeeper refusals, capacity evictions and EvictWhere — and checks
+// the kept counts against a full scan after each step.
 func TestTierCountsMatchFullScan(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		for _, costAware := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/costAware=%v", shards, costAware), func(t *testing.T) {
-				c := New(Config{Capacity: 4 * shards, Shards: shards, CostAware: costAware, AdmissionScan: 2})
+				c := New(Config{Capacity: 4 * shards, Shards: shards, CostAware: costAware})
 				rng := rand.New(rand.NewSource(int64(shards)))
 				random := func() *Entry {
 					e := tierEntry(rng.Intn(12*shards), int64(1+rng.Intn(50)), uint8(rng.Intn(3)))
@@ -682,8 +682,12 @@ func TestTierCountsMatchFullScan(t *testing.T) {
 						t.Fatalf("step %d: TierCounts = %d/%d, a full scan finds %d/%d", step, g, f, wg, wf)
 					}
 				}
-				if st := c.Stats(); st.Evictions == 0 || st.Rejected == 0 || st.TierRejected == 0 || st.TargetedEvictions == 0 {
+				st := c.Stats()
+				if st.Evictions == 0 || st.Rejected == 0 || st.TierRejected == 0 || st.TargetedEvictions == 0 {
 					t.Fatalf("the mix exercised too little: %+v", st)
+				}
+				if costAware != (st.FirstMissRefused > 0) {
+					t.Fatalf("costAware %v, but the doorkeeper refused %d first misses", costAware, st.FirstMissRefused)
 				}
 			})
 		}

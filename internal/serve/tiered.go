@@ -41,8 +41,11 @@ import (
 //   - Admission: a Tier-1 entry weighs what keeping it will cost, the
 //     budget its upgrade runs under (Server.searchUnits), so
 //     cost-aware admission decides which greedy plans are worth
-//     upgrading. A refused entry is still served to its requester but
-//     costs no upgrade.
+//     upgrading. Into a full shard, the cache's doorkeeper admits a
+//     Tier-1 entry only on its shape's second miss, so a shape that
+//     never recurs buys no upgrade, journal append or eviction. A
+//     refused entry is still served to its requester but costs no
+//     upgrade.
 //   - Determinism: the upgrade is the synchronous path's search
 //     (Server.search) over the canonical query, under the configured
 //     seed and the same budget, warm-started from the greedy order —

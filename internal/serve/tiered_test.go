@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -211,10 +212,12 @@ func TestTieredBatch(t *testing.T) {
 
 // TestTieredRefusedEntrySchedulesNoUpgrade: a Tier-1 entry that
 // cost-aware admission refuses is still served, but its upgrade never
-// runs, because the cache would not keep the result either.
+// runs, because the cache would not keep the result either. The first
+// miss is refused by the doorkeeper, the second by the heavier
+// resident; /statusz and /metrics tell the two apart.
 func TestTieredRefusedEntrySchedulesNoUpgrade(t *testing.T) {
 	cache := plancache.New(plancache.Config{Capacity: 1, Shards: 1, CostAware: true})
-	s, ts := newTestServer(t, Config{Tiered: true, CacheHandle: cache})
+	s, ts := newTestServer(t, Config{Tiered: true, CacheHandle: cache, Metrics: telemetry.NewRegistry()})
 	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
 	heavy := residentEntry(t, workload.Default().Generate(8, rand.New(rand.NewSource(3))),
 		2*cost.UnitsFor(s.cfg.TCoeff, 20))
@@ -222,25 +225,40 @@ func TestTieredRefusedEntrySchedulesNoUpgrade(t *testing.T) {
 		t.Fatal("resident entry refused")
 	}
 
-	_, or := postOptimize(t, ts.URL, queryBody(t, q))
-	if or.CacheHit || or.Tier != int(plancache.TierGreedy) {
-		t.Fatalf("cold miss: cacheHit %v tier %d, want a tier-1 miss", or.CacheHit, or.Tier)
-	}
-	checkValidOrder(t, or.Order, len(q.Relations))
+	for miss, want := range []struct{ rejected, firstMiss uint64 }{{1, 1}, {2, 1}} {
+		_, or := postOptimize(t, ts.URL, queryBody(t, q))
+		if or.CacheHit || or.Tier != int(plancache.TierGreedy) {
+			t.Fatalf("miss %d: cacheHit %v tier %d, want a tier-1 miss", miss+1, or.CacheHit, or.Tier)
+		}
+		checkValidOrder(t, or.Order, len(q.Relations))
 
-	s.WaitUpgrades()
-	st := statusz(t, ts.URL)
-	if st.Tiers.Tier1Served != 1 || st.Tiers.UpgradesStarted != 0 {
-		t.Fatalf("tier1Served/upgradesStarted = %d/%d, want 1/0", st.Tiers.Tier1Served, st.Tiers.UpgradesStarted)
+		s.WaitUpgrades()
+		st := statusz(t, ts.URL)
+		if st.Tiers.Tier1Served != uint64(miss+1) || st.Tiers.UpgradesStarted != 0 {
+			t.Fatalf("miss %d: tier1Served/upgradesStarted = %d/%d, want %d/0", miss+1, st.Tiers.Tier1Served, st.Tiers.UpgradesStarted, miss+1)
+		}
+		if st.Cache.Rejected != want.rejected || st.Cache.FirstMissRefused != want.firstMiss {
+			t.Fatalf("miss %d: rejected/firstMissRefused = %d/%d, want %d/%d",
+				miss+1, st.Cache.Rejected, st.Cache.FirstMissRefused, want.rejected, want.firstMiss)
+		}
+		if got, ok := cache.Peek(heavy.Fingerprint); !ok || got != heavy || cache.Len() != 1 {
+			t.Fatalf("miss %d: resident entry changed: %+v (present %v, len %d)", miss+1, got, ok, cache.Len())
+		}
 	}
-	if got, ok := cache.Peek(heavy.Fingerprint); !ok || got != heavy || cache.Len() != 1 {
-		t.Fatalf("resident entry changed: %+v (present %v, len %d)", got, ok, cache.Len())
+	text := metricsText(t, ts.URL)
+	for _, series := range []string{"ljq_plancache_rejected_total 2", "ljq_plancache_first_miss_refused_total 1"} {
+		if !strings.Contains(text, series) {
+			t.Errorf("/metrics missing %q", series)
+		}
 	}
 }
 
-// TestTieredAdmittedEntryUpgradesOnce: weighted at its upgrade's
-// budget, a Tier-1 entry displaces a lighter least-recent Tier-2 entry
-// (at its greedy work it could not), and its one upgrade lands.
+// TestTieredAdmittedEntryUpgradesOnce: a Tier-1 entry whose shape has
+// not missed before is served but kept out of a full cost-aware shard,
+// so it costs no upgrade. On the shape's second miss, weighted at its
+// upgrade's budget, it displaces a lighter least-recent Tier-2 entry
+// (at its greedy work it could not), its one upgrade lands, and the
+// next request is a Tier-2 hit.
 func TestTieredAdmittedEntryUpgradesOnce(t *testing.T) {
 	cache := plancache.New(plancache.Config{Capacity: 1, Shards: 1, CostAware: true})
 	s, ts := newTestServer(t, Config{Tiered: true, CacheHandle: cache})
@@ -264,23 +282,69 @@ func TestTieredAdmittedEntryUpgradesOnce(t *testing.T) {
 
 	_, or := postOptimize(t, ts.URL, body)
 	if or.CacheHit || or.Tier != int(plancache.TierGreedy) {
-		t.Fatalf("cold miss: cacheHit %v tier %d, want a tier-1 miss", or.CacheHit, or.Tier)
+		t.Fatalf("first miss: cacheHit %v tier %d, want a tier-1 miss", or.CacheHit, or.Tier)
 	}
 	if or.BudgetUsed != weight {
 		t.Fatalf("tier-1 BudgetUsed %d, want the upgrade budget %d", or.BudgetUsed, weight)
 	}
+	s.WaitUpgrades()
+	st := statusz(t, ts.URL)
+	if st.Tiers.UpgradesStarted != 0 || st.Cache.FirstMissRefused != 1 {
+		t.Fatalf("first miss: upgradesStarted/firstMissRefused = %d/%d, want 0/1", st.Tiers.UpgradesStarted, st.Cache.FirstMissRefused)
+	}
+	if got, ok := cache.Peek(light.Fingerprint); !ok || got != light {
+		t.Fatal("the first miss displaced the resident entry")
+	}
+
+	_, or = postOptimize(t, ts.URL, body)
+	if or.CacheHit || or.Tier != int(plancache.TierGreedy) || or.BudgetUsed != weight {
+		t.Fatalf("second miss: cacheHit %v tier %d budgetUsed %d, want a tier-1 miss at %d", or.CacheHit, or.Tier, or.BudgetUsed, weight)
+	}
 	if _, ok := cache.Peek(light.Fingerprint); ok {
 		t.Fatal("the lighter resident entry was not displaced")
 	}
+	s.WaitUpgrades()
+	st = statusz(t, ts.URL)
+	if st.Tiers.UpgradesStarted != 1 || st.Tiers.UpgradesCompleted != 1 {
+		t.Fatalf("upgrades started/completed = %d/%d, want 1/1", st.Tiers.UpgradesStarted, st.Tiers.UpgradesCompleted)
+	}
+	if st.Cache.Evictions != 1 || st.Cache.Rejected != 1 || st.Cache.FirstMissRefused != 1 {
+		t.Fatalf("evictions/rejected/firstMissRefused = %d/%d/%d, want 1/1/1", st.Cache.Evictions, st.Cache.Rejected, st.Cache.FirstMissRefused)
+	}
 
+	_, or = postOptimize(t, ts.URL, body)
+	if !or.CacheHit || or.Tier != int(plancache.TierFull) {
+		t.Fatalf("after the upgrade: cacheHit %v tier %d, want a tier-2 hit", or.CacheHit, or.Tier)
+	}
+}
+
+// TestTieredNotCostAwareAdmitsFirstMiss: without cost-aware admission
+// (ljqd -cache-cost-aware=false) there is no doorkeeper: a shape's
+// first miss evicts the least recent entry, however heavy, and is
+// upgraded once.
+func TestTieredNotCostAwareAdmitsFirstMiss(t *testing.T) {
+	cache := plancache.New(plancache.Config{Capacity: 1, Shards: 1})
+	s, ts := newTestServer(t, Config{Tiered: true, CacheHandle: cache})
+	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
+	heavy := residentEntry(t, workload.Default().Generate(8, rand.New(rand.NewSource(3))), 1<<40)
+	if !cache.Put(heavy) {
+		t.Fatal("resident entry refused")
+	}
+
+	_, or := postOptimize(t, ts.URL, queryBody(t, q))
+	if or.CacheHit || or.Tier != int(plancache.TierGreedy) {
+		t.Fatalf("cold miss: cacheHit %v tier %d, want a tier-1 miss", or.CacheHit, or.Tier)
+	}
+	if _, ok := cache.Peek(heavy.Fingerprint); ok {
+		t.Fatal("the least recent entry was not evicted")
+	}
 	s.WaitUpgrades()
 	st := statusz(t, ts.URL)
 	if st.Tiers.UpgradesStarted != 1 || st.Tiers.UpgradesCompleted != 1 {
 		t.Fatalf("upgrades started/completed = %d/%d, want 1/1", st.Tiers.UpgradesStarted, st.Tiers.UpgradesCompleted)
 	}
-	_, or2 := postOptimize(t, ts.URL, body)
-	if !or2.CacheHit || or2.Tier != int(plancache.TierFull) {
-		t.Fatalf("after the upgrade: cacheHit %v tier %d, want a tier-2 hit", or2.CacheHit, or2.Tier)
+	if st.Cache.Rejected != 0 || st.Cache.FirstMissRefused != 0 {
+		t.Fatalf("rejected/firstMissRefused = %d/%d, want 0/0", st.Cache.Rejected, st.Cache.FirstMissRefused)
 	}
 }
 
@@ -422,14 +486,29 @@ func statusz(t *testing.T, base string) StatusResponse {
 	return st
 }
 
+// metricsText fetches GET /metrics.
+func metricsText(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 // BenchmarkOptimizeTieredMiss prices a tiered cold miss of the 20-join
 // smoke query end to end, together with the background upgrade it
 // schedules, if any: WaitUpgrades runs inside the timed region. The
 // upgrade searches with IAI, as ljqd's does. Each op starts from a
 // fresh server. admitted misses into an empty cost-aware
-// cache; refused misses into a full one-entry shard whose resident
-// entry outweighs the Tier-1 entry, so admission refuses it and no
-// upgrade runs.
+// cache; refused misses into a full one-entry shard, where the
+// doorkeeper refuses the Tier-1 entry on its shape's first miss (the
+// resident also outweighs it), so no upgrade runs.
 func BenchmarkOptimizeTieredMiss(b *testing.B) {
 	q := workload.Default().Generate(20, rand.New(rand.NewSource(42)))
 	var buf bytes.Buffer
